@@ -12,15 +12,24 @@
 // value sets, and inclusion constraints collect child and parent value
 // sets that are resolved at end-of-document — which is also what lets a
 // foreign key reference an element that appears later in the document.
+//
+// Tokens come from xmltree.Scanner as byte views. Building a Checker
+// interns the DTD's element and attribute names to dense symbols, so the
+// per-element path — start, end and text, marked //xic:hotpath — works on
+// slices indexed by symbol and allocates nothing; the only per-element
+// allocation is the copy of an attribute value a constraint index may keep,
+// made once per element and shared by every index that reads it.
+// Violations cost O(kept), not O(seen): past the report's cap a violation
+// is only counted, before its path or message is built, and kept paths
+// are rendered incrementally from the open-element stack.
 package doccheck
 
 import (
 	"context"
-	"encoding/xml"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"xic/internal/constraint"
@@ -44,8 +53,8 @@ type Violation struct {
 	// Line is the 1-based source line of the reporting position; 0 for
 	// end-of-document verdicts with no single position.
 	Line int
-	// Offset is the byte offset from xml.Decoder.InputOffset; -1 for
-	// end-of-document verdicts.
+	// Offset is the 0-based input offset just past the token that
+	// reported the violation; -1 for end-of-document verdicts.
 	Offset int64
 	// Constraint is the violated constraint; nil for DTD-conformance
 	// violations.
@@ -70,6 +79,8 @@ type Report struct {
 	// Truncated reports that the violation limit was reached and further
 	// violations were dropped; the verdict is still exact.
 	Truncated bool
+	// Dropped counts the violations dropped past the limit.
+	Dropped int
 	// Elements counts the element nodes seen.
 	Elements int
 }
@@ -98,13 +109,100 @@ type Checker struct {
 
 	// MaxViolations bounds the report size; 0 means DefaultMaxViolations.
 	MaxViolations int
+
+	syms     symtab     // element types, and each type's attributes
+	types    []elemType // by element symbol
+	rootSym  int32
+	maxAttrs int
+}
+
+// elemType is the compiled form of one declared element type.
+type elemType struct {
+	label string
+	decl  *dtd.Element
+	auto  *dtd.Automaton
+	kept  []int32 // attribute slots some constraint index reads
 }
 
 // New returns a streaming checker over the DTD, its validator (whose
 // automaton cache should be compiled via CompileAll) and a constraint set
 // already validated against the DTD.
 func New(d *dtd.DTD, v *xmltree.Validator, sigma []constraint.Constraint) *Checker {
-	return &Checker{d: d, v: v, sigma: sigma}
+	c := &Checker{d: d, v: v, sigma: sigma, rootSym: -1}
+	names := d.Types()
+	n := len(names)
+	for _, t := range names {
+		n += len(d.Element(t).Attrs)
+	}
+	c.syms = newSymtab(n)
+	c.types = make([]elemType, len(names))
+	for i, t := range names {
+		e := d.Element(t)
+		c.types[i] = elemType{label: t, decl: e, auto: v.Automaton(t)}
+		c.syms.add(-1, t, int32(i))
+		for j, a := range e.Attrs {
+			c.syms.add(int32(i), a, int32(j))
+		}
+		c.maxAttrs = max(c.maxAttrs, len(e.Attrs))
+		if t == d.Root {
+			c.rootSym = int32(i)
+		}
+	}
+	for _, con := range sigma {
+		switch x := con.(type) {
+		case constraint.Key:
+			c.keep(x.Type, x.Attrs)
+		case constraint.ForeignKey:
+			c.keep(x.Child, x.ChildAttrs)
+			c.keep(x.Parent, x.ParentAttrs)
+		case constraint.Inclusion:
+			c.keep(x.Child, x.ChildAttrs)
+			c.keep(x.Parent, x.ParentAttrs)
+		case constraint.NotKey:
+			c.keep(x.Type, []string{x.Attr})
+		case constraint.NotInclusion:
+			c.keep(x.Child, []string{x.ChildAttr})
+			c.keep(x.Parent, []string{x.ParentAttr})
+		}
+	}
+	return c
+}
+
+// symbol returns the symbol of a declared element type, or -1.
+func (c *Checker) symbol(label string) int32 { return c.syms.lookup(-1, []byte(label)) }
+
+// slots returns the attribute slots of attrs on element type label.
+func (c *Checker) slots(label string, attrs []string) []int32 {
+	sym := c.symbol(label)
+	out := make([]int32, len(attrs))
+	for i, a := range attrs {
+		out[i] = c.syms.lookup(sym, []byte(a))
+	}
+	return out
+}
+
+// keep marks attributes of an element type as read by a constraint index,
+// so the pass copies their values once per element.
+func (c *Checker) keep(label string, attrs []string) {
+	sym := c.symbol(label)
+	if sym < 0 {
+		return
+	}
+	t := &c.types[sym]
+	for _, slot := range c.slots(label, attrs) {
+		if slot >= 0 && !containsSlot(t.kept, slot) {
+			t.kept = append(t.kept, slot)
+		}
+	}
+}
+
+func containsSlot(slots []int32, slot int32) bool {
+	for _, s := range slots {
+		if s == slot {
+			return true
+		}
+	}
+	return false
 }
 
 // Run validates one document from r in a single pass. It returns a Report
@@ -129,18 +227,22 @@ func (c *Checker) RunRetain(ctx context.Context, r io.Reader) (*Report, *Indexes
 }
 
 func (c *Checker) runPass(ctx context.Context, r io.Reader, retain bool) (*Report, *Indexes, error) {
+	nsym := len(c.types)
 	rn := &run{
-		c:       c,
-		lr:      xmltree.NewLineReader(r),
-		report:  &Report{},
-		max:     c.MaxViolations,
-		runPool: make(map[string][]*dtd.Run),
-		done:    ctx.Done(),
+		c:      c,
+		sc:     xmltree.NewScanner(r),
+		report: &Report{},
+		max:    c.MaxViolations,
+		vals:   make([][]byte, c.maxAttrs),
+		have:   make([]uint32, c.maxAttrs),
+		kept:   make([]string, c.maxAttrs),
+		pool:   make([][]*dtd.Run, nsym),
+		free:   make([]int, nsym),
+		done:   ctx.Done(),
 	}
 	if rn.max <= 0 {
 		rn.max = DefaultMaxViolations
 	}
-	rn.dec = xml.NewDecoder(rn.lr)
 	var idxs *Indexes
 	rn.collectors, rn.finishers, idxs = c.newConstraintState(retain)
 	if err := rn.loop(ctx); err != nil {
@@ -149,263 +251,401 @@ func (c *Checker) runPass(ctx context.Context, r io.Reader, retain bool) (*Repor
 	return rn.report, idxs, nil
 }
 
-// frame is the retained state of one open element: constant-size except
-// for the per-label child counters that make violation paths precise.
+// frame is the retained state of one open element.
 type frame struct {
-	label       string
-	decl        *dtd.Element
-	run         *dtd.Run // nil when the element type is undeclared
-	contentBad  bool     // content model already failed; stop stepping
-	lastWasText bool     // coalesce adjacent character-data runs
-	index       int      // index among same-label siblings
-	childCounts map[string]int
+	sym         int32  // element symbol; -1 when the type is undeclared
+	label       string // the element type, DTD-owned when declared
+	run         *dtd.Run
+	contentBad  bool // content model already failed; stop stepping
+	lastWasText bool // coalesce adjacent character-data runs
+	index       int  // index among same-label siblings
+	pathEnd     int  // end of this frame's rendered path in run.path
+	undeclared  map[string]int
 }
 
 // run is the per-document state of one streaming pass.
 type run struct {
 	c      *Checker
-	lr     *xmltree.LineReader
-	dec    *xml.Decoder
+	sc     *xmltree.Scanner
 	report *Report
 	max    int
 
-	frames   []frame // frames[:depth] are live; the rest are reusable
-	depth    int
-	rootSeen bool
+	frames []frame // frames[:depth] are live; the rest are reusable
+	depth  int
+	counts []int32 // frames[d] counts its children by symbol in counts[d*nsym:]
+
+	gen  uint32   // the current element's mark in have
+	vals [][]byte // the current element's attribute values, by slot
+	have []uint32 // gen when the slot's attribute is present
+	kept []string // copies of the kept slots' values
 
 	line int // position of the most recent token
 	off  int64
 
-	collectors map[string][]collector
+	collectors [][]collector // by element symbol
 	finishers  []finisher
-	runPool    map[string][]*dtd.Run
+	pool       [][]*dtd.Run // idle automaton runs by symbol: pool[s][:free[s]]
+	free       []int
+
+	path      []byte // rendered paths of frames[:pathValid]
+	pathValid int
 
 	done <-chan struct{}
 }
 
 // loop drives the token stream to EOF.
 func (rn *run) loop(ctx context.Context) error {
+	sc := rn.sc
 	for tokens := 0; ; tokens++ {
 		if tokens%1024 == 0 && rn.done != nil {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("doccheck: validation aborted after %d elements: %w", rn.report.Elements, err)
 			}
 		}
-		tok, err := rn.dec.Token()
-		rn.off = rn.dec.InputOffset()
-		if err == io.EOF {
-			break
-		}
+		kind, err := sc.Next()
 		if err != nil {
-			var se *xml.SyntaxError
-			if errors.As(err, &se) {
-				return &xmltree.ParseError{Line: se.Line, Offset: rn.off, Msg: se.Msg, Err: err}
-			}
-			return fmt.Errorf("doccheck: %w", err)
+			return err
 		}
-		rn.line = rn.lr.LineAt(rn.off)
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if err := rn.start(t); err != nil {
-				return err
+		rn.off = sc.Offset()
+		rn.line = sc.Line()
+		switch kind {
+		case xmltree.KindEOF:
+			for _, f := range rn.finishers {
+				f.finish(rn)
 			}
-		case xml.EndElement:
-			rn.end()
-		case xml.CharData:
-			if err := rn.text(t); err != nil {
-				return err
+			return nil
+		case xmltree.KindStart:
+			rn.startElement(sc.Name(), sc.Attrs())
+		case xmltree.KindEnd:
+			if rn.end() {
+				rn.reportIncomplete()
+			}
+		case xmltree.KindText:
+			if rn.text() {
+				rn.reportText()
 			}
 		}
 	}
-	if !rn.rootSeen {
-		return &xmltree.ParseError{Line: rn.line, Offset: rn.off, Msg: "no root element"}
-	}
-	for _, f := range rn.finishers {
-		f.finish(rn)
-	}
-	return nil
 }
 
-func (rn *run) start(t xml.StartElement) error {
-	label := t.Name.Local
-	if pe := xmltree.AttrCollisionError(t, rn.line, rn.off); pe != nil {
-		return pe
+// Problems start reports for the cold path to describe.
+const (
+	badRoot    uint8 = 1 << iota // the root is not the DTD's root type
+	badContent                   // the parent's content model rejects this child
+	undeclared                   // the element type is not declared
+	badAttrs                     // attributes missing or undeclared
+)
+
+// startElement handles a start tag: the cold work around the hot start —
+// growing the stack, copying kept attribute values, reporting problems.
+func (rn *run) startElement(name []byte, attrs []xmltree.Attr) {
+	sym := rn.c.syms.lookup(-1, name)
+	rn.reserve(sym)
+	if problems := rn.start(sym, attrs); problems != 0 {
+		rn.reportStart(problems, name, attrs)
 	}
+	if sym < 0 || len(rn.collectors[sym]) == 0 {
+		return
+	}
+	for _, slot := range rn.c.types[sym].kept {
+		if rn.have[slot] == rn.gen {
+			rn.kept[slot] = string(rn.vals[slot])
+		}
+	}
+	rn.collect(sym)
+}
+
+// reserve grows the frame stack for one more element and makes sure an
+// idle automaton run for sym is pooled, so start allocates nothing.
+func (rn *run) reserve(sym int32) {
+	if rn.depth == len(rn.frames) {
+		rn.frames = append(rn.frames, frame{})
+		if need := len(rn.frames) * len(rn.c.types); need > len(rn.counts) {
+			counts := make([]int32, 2*need)
+			copy(counts, rn.counts)
+			rn.counts = counts
+		}
+	}
+	if sym >= 0 && rn.free[sym] == 0 {
+		rn.pool[sym] = append(rn.pool[sym], nil)
+		rn.pool[sym][0] = rn.c.types[sym].auto.Start()
+		rn.free[sym] = 1
+	}
+}
+
+// start opens an element of symbol sym: it counts it among its parent's
+// children, steps the parent's content automaton, pushes its frame and
+// binds its attributes to slots. It returns the problems found, for the
+// cold path to report.
+//
+//xic:hotpath
+func (rn *run) start(sym int32, attrs []xmltree.Attr) uint8 {
+	c := rn.c
+	var problems uint8
 	index := 0
 	if rn.depth == 0 {
-		if rn.rootSeen {
-			return &xmltree.ParseError{Line: rn.line, Offset: rn.off, Msg: fmt.Sprintf("multiple root elements (second is %q)", label)}
-		}
-		rn.rootSeen = true
-		if label != rn.c.d.Root {
-			rn.violate(nil, label, "root is %q, DTD requires %q", label, rn.c.d.Root)
+		if sym != c.rootSym {
+			problems |= badRoot
 		}
 	} else {
 		parent := &rn.frames[rn.depth-1]
-		index = parent.childCounts[label]
-		parent.childCounts[label]++
 		parent.lastWasText = false
-		if parent.run != nil && !parent.contentBad && !parent.run.Step(label) {
-			parent.contentBad = true
-			rn.violate(nil, rn.path(rn.depth),
-				"children of %s do not match content model %s: %q cannot follow",
-				rn.path(rn.depth), parent.decl.Content, label)
+		if sym >= 0 {
+			nsym := len(c.types)
+			counts := rn.counts[(rn.depth-1)*nsym : rn.depth*nsym]
+			index = int(counts[sym])
+			counts[sym]++
+			if parent.run != nil && !parent.contentBad && !parent.run.Step(c.types[sym].label) {
+				parent.contentBad = true
+				problems |= badContent
+			}
 		}
 	}
-	decl := rn.c.d.Element(label)
-	rn.push(label, decl, index)
+	rn.push(sym, index)
 	rn.report.Elements++
-	if decl == nil {
-		rn.violate(nil, rn.path(rn.depth), "element type %q is not declared", label)
-	} else {
-		rn.checkAttrs(decl, t.Attr)
+	if sym < 0 {
+		return problems | undeclared
 	}
-	for _, col := range rn.collectors[label] {
-		col.element(rn, t.Attr)
+	if !rn.bind(sym, attrs) {
+		problems |= badAttrs
 	}
-	return nil
+	return problems
 }
 
-func (rn *run) end() {
-	if rn.depth == 0 {
-		return // decoder enforces balance; defensive
+// push opens a frame, reusing the stack slot — and the pooled automaton
+// run reserve set aside — left behind by earlier elements.
+//
+//xic:hotpath
+func (rn *run) push(sym int32, index int) {
+	d := rn.depth
+	f := &rn.frames[d]
+	f.sym, f.index, f.contentBad, f.lastWasText = sym, index, false, false
+	f.run, f.label = nil, ""
+	if sym >= 0 {
+		n := rn.free[sym] - 1
+		f.run = rn.pool[sym][n]
+		rn.free[sym] = n
+		f.run.Reset()
+		f.label = rn.c.types[sym].label
 	}
-	f := &rn.frames[rn.depth-1]
-	if f.run != nil {
-		if !f.contentBad && !f.run.Accepting() {
-			rn.violate(nil, rn.path(rn.depth),
-				"children of %s do not match content model %s: sequence is incomplete",
-				rn.path(rn.depth), f.decl.Content)
+	nsym := len(rn.c.types)
+	clear(rn.counts[d*nsym : (d+1)*nsym])
+	f.undeclared = nil // dropped, not cleared: clearing costs its capacity
+	rn.pathValid = min(rn.pathValid, d)
+	rn.depth++
+}
+
+// bind records the element's attribute values by slot and reports whether
+// it carries exactly the declared attribute set R(τ): every declared
+// attribute present, no undeclared ones. The scanner has already rejected
+// repeated local names.
+//
+//xic:hotpath
+func (rn *run) bind(sym int32, attrs []xmltree.Attr) bool {
+	rn.gen++
+	if rn.gen == 0 {
+		clear(rn.have)
+		rn.gen = 1
+	}
+	exact := true
+	bound := 0
+	for i := range attrs {
+		slot := rn.c.syms.lookup(sym, attrs[i].Name)
+		if slot < 0 {
+			exact = false
+			continue
 		}
-		rn.runPool[f.label] = append(rn.runPool[f.label], f.run)
+		rn.vals[slot] = attrs[i].Value
+		rn.have[slot] = rn.gen
+		bound++
+	}
+	return exact && bound == len(rn.c.types[sym].decl.Attrs)
+}
+
+// collect feeds the current element to the constraint collectors of its
+// type.
+//
+//xic:hotpath
+func (rn *run) collect(sym int32) {
+	for _, col := range rn.collectors[sym] {
+		col.element(rn)
+	}
+}
+
+// end closes the innermost element, returning its automaton run to the
+// pool. It reports whether the element's children stopped short of its
+// content model; the popped frame stays readable for the report.
+//
+//xic:hotpath
+func (rn *run) end() bool {
+	f := &rn.frames[rn.depth-1]
+	incomplete := false
+	if f.run != nil {
+		incomplete = !f.contentBad && !f.run.Accepting()
+		rn.pool[f.sym][rn.free[f.sym]] = f.run
+		rn.free[f.sym]++
 		f.run = nil
 	}
 	rn.depth--
+	return incomplete
 }
 
-func (rn *run) text(cd xml.CharData) error {
-	if len(strings.TrimSpace(string(cd))) == 0 {
-		return nil
-	}
-	if rn.depth == 0 {
-		return &xmltree.ParseError{Line: rn.line, Offset: rn.off, Msg: "character data outside the root element"}
-	}
+// text records a non-blank character-data run in the innermost element,
+// reporting whether its content model rejects text there. Adjacent runs
+// form one text node.
+//
+//xic:hotpath
+func (rn *run) text() bool {
 	f := &rn.frames[rn.depth-1]
 	if f.lastWasText {
-		return nil // adjacent runs form one text node
+		return false
 	}
 	f.lastWasText = true
 	if f.run != nil && !f.contentBad && !f.run.Step(dtd.TextSymbol) {
 		f.contentBad = true
-		rn.violate(nil, rn.path(rn.depth),
-			"children of %s do not match content model %s: unexpected text content",
-			rn.path(rn.depth), f.decl.Content)
+		return true
 	}
-	return nil
+	return false
 }
 
-// push opens a frame for an element, reusing the stack slot (and its child
-// counter map) left behind by a previous sibling subtree.
-func (rn *run) push(label string, decl *dtd.Element, index int) {
-	if rn.depth == len(rn.frames) {
-		rn.frames = append(rn.frames, frame{})
-	}
-	f := &rn.frames[rn.depth]
-	counts := f.childCounts
-	if counts == nil {
-		counts = make(map[string]int)
-	} else {
-		clear(counts)
-	}
-	var ar *dtd.Run
-	if decl != nil {
-		if pool := rn.runPool[label]; len(pool) > 0 {
-			ar = pool[len(pool)-1]
-			rn.runPool[label] = pool[:len(pool)-1]
-			ar.Reset()
-		} else {
-			ar = rn.c.v.Automaton(label).Start()
+// ---- violation reports (cold) -------------------------------------------
+
+// reportStart describes the problems start found with the element just
+// pushed, in document order: the root type, the parent's content model,
+// the element's own declaration and its attributes.
+func (rn *run) reportStart(problems uint8, name []byte, attrs []xmltree.Attr) {
+	f := &rn.frames[rn.depth-1]
+	if problems&undeclared != 0 {
+		f.label = string(name)
+		if rn.depth > 1 {
+			parent := &rn.frames[rn.depth-2]
+			if parent.undeclared == nil {
+				parent.undeclared = make(map[string]int)
+			}
+			f.index = parent.undeclared[f.label]
+			parent.undeclared[f.label]++
+			if parent.run != nil && !parent.contentBad {
+				parent.contentBad = true
+				problems |= badContent
+			}
 		}
 	}
-	*f = frame{label: label, decl: decl, run: ar, index: index, childCounts: counts}
-	rn.depth++
-}
-
-// checkAttrs verifies the element carries exactly the declared attribute
-// set R(τ): every declared attribute present, no undeclared ones.
-func (rn *run) checkAttrs(decl *dtd.Element, attrs []xml.Attr) {
-	for _, want := range decl.Attrs {
-		if lookupAttr(attrs, want) < 0 {
-			rn.violate(nil, rn.path(rn.depth), "element %s lacks required attribute %q", rn.path(rn.depth), want)
+	if problems&badRoot != 0 && !rn.drop() {
+		rn.violate(nil, f.label, "root is %q, DTD requires %q", f.label, rn.c.d.Root)
+	}
+	if problems&badContent != 0 && !rn.drop() {
+		parent := &rn.frames[rn.depth-2]
+		p := rn.pathOf(rn.depth - 1)
+		rn.violate(nil, p, "children of %s do not match content model %s: %q cannot follow",
+			p, rn.c.types[parent.sym].decl.Content, f.label)
+	}
+	if problems&undeclared != 0 && !rn.drop() {
+		rn.violate(nil, rn.pathOf(rn.depth), "element type %q is not declared", f.label)
+	}
+	if problems&badAttrs == 0 {
+		return
+	}
+	for slot, want := range rn.c.types[f.sym].decl.Attrs {
+		if rn.have[slot] != rn.gen && !rn.drop() {
+			p := rn.pathOf(rn.depth)
+			rn.violate(nil, p, "element %s lacks required attribute %q", p, want)
 		}
 	}
 	for _, a := range attrs {
-		if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-			continue
-		}
-		if !decl.HasAttr(a.Name.Local) {
-			rn.violate(nil, rn.path(rn.depth), "element %s has undeclared attribute %q", rn.path(rn.depth), a.Name.Local)
+		if rn.c.syms.lookup(f.sym, a.Name) < 0 && !rn.drop() {
+			p := rn.pathOf(rn.depth)
+			rn.violate(nil, p, "element %s has undeclared attribute %q", p, a.Name)
 		}
 	}
 }
 
-// path renders the element path of frames[:depth] in xmltree.Tree.Path
-// notation; it is only materialized when a violation needs it.
-func (rn *run) path(depth int) string {
-	var b strings.Builder
-	for i := 0; i < depth; i++ {
-		f := &rn.frames[i]
-		if i == 0 {
-			b.WriteString(f.label)
-			continue
-		}
-		fmt.Fprintf(&b, "/%s[%d]", f.label, f.index)
-	}
-	return b.String()
-}
-
-// violate appends a violation at the current stream position.
-func (rn *run) violate(c constraint.Constraint, path, format string, args ...any) {
-	rn.add(Violation{Path: path, Line: rn.line, Offset: rn.off, Constraint: c, Msg: fmt.Sprintf(format, args...)})
-}
-
-// add appends a violation, enforcing the report bound.
-func (rn *run) add(v Violation) {
-	if len(rn.report.Violations) >= rn.max {
-		rn.report.Truncated = true
+// reportIncomplete describes the element end just popped whose children
+// stopped short of its content model.
+func (rn *run) reportIncomplete() {
+	if rn.drop() {
 		return
 	}
-	rn.report.Violations = append(rn.report.Violations, v)
+	f := &rn.frames[rn.depth]
+	p := rn.pathOf(rn.depth + 1)
+	rn.violate(nil, p, "children of %s do not match content model %s: sequence is incomplete",
+		p, rn.c.types[f.sym].decl.Content)
 }
 
-// lookupAttr returns the index of the attribute with the given local name,
-// skipping namespace declarations, or -1.
-//
-//xic:hotpath
-func lookupAttr(attrs []xml.Attr, name string) int {
-	for i, a := range attrs {
-		if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-			continue
-		}
-		if a.Name.Local == name {
-			return i
-		}
+// reportText describes text its element's content model rejects.
+func (rn *run) reportText() {
+	if rn.drop() {
+		return
 	}
-	return -1
+	f := &rn.frames[rn.depth-1]
+	p := rn.pathOf(rn.depth)
+	rn.violate(nil, p, "children of %s do not match content model %s: unexpected text content",
+		p, rn.c.types[f.sym].decl.Content)
 }
 
-// tupleVals fills dst with the values of the named attributes, reporting
-// whether all are present. Nodes lacking a referenced attribute contribute
-// no tuple, exactly as in constraint.Satisfied.
+// drop reports whether the report is full, counting the violation it then
+// drops. Callers check it before building a violation's path or message,
+// so violations past the cap cost O(1).
+func (rn *run) drop() bool {
+	if len(rn.report.Violations) < rn.max {
+		return false
+	}
+	rn.report.Truncated = true
+	rn.report.Dropped++
+	return true
+}
+
+// pathOf renders the element path of frames[:depth] in xmltree.Tree.Path
+// notation. Rendered prefixes are kept across calls and invalidated by
+// push, so successive violations along one branch extend the previous
+// path instead of rebuilding it.
+func (rn *run) pathOf(depth int) string {
+	for i := rn.pathValid; i < depth; i++ {
+		f := &rn.frames[i]
+		b := rn.path[:0]
+		if i > 0 {
+			b = append(rn.path[:rn.frames[i-1].pathEnd], '/')
+		}
+		b = append(b, f.label...)
+		if i > 0 {
+			b = append(b, '[')
+			b = strconv.AppendInt(b, int64(f.index), 10)
+			b = append(b, ']')
+		}
+		f.pathEnd = len(b)
+		rn.path = b
+	}
+	rn.pathValid = max(rn.pathValid, depth)
+	if depth == 0 {
+		return ""
+	}
+	return string(rn.path[:rn.frames[depth-1].pathEnd])
+}
+
+// violate appends a violation at the current stream position; callers
+// have checked drop.
+func (rn *run) violate(c constraint.Constraint, path, format string, args ...any) {
+	rn.report.Violations = append(rn.report.Violations,
+		Violation{Path: path, Line: rn.line, Offset: rn.off, Constraint: c, Msg: fmt.Sprintf(format, args...)})
+}
+
+// add appends an end-of-document violation, enforcing the report bound.
+func (rn *run) add(v Violation) {
+	if !rn.drop() {
+		rn.report.Violations = append(rn.report.Violations, v)
+	}
+}
+
+// tupleVals fills dst with the kept values of the attribute slots,
+// reporting whether all are present. Nodes lacking a referenced attribute
+// contribute no tuple, exactly as in constraint.Satisfied.
 //
 //xic:hotpath
-func tupleVals(attrs []xml.Attr, names []string, dst []string) bool {
-	for i, name := range names {
-		j := lookupAttr(attrs, name)
-		if j < 0 {
+func (rn *run) tupleVals(slots []int32, dst []string) bool {
+	for i, slot := range slots {
+		if slot < 0 || rn.have[slot] != rn.gen {
 			return false
 		}
-		dst[i] = attrs[j].Value
+		dst[i] = rn.kept[slot]
 	}
 	return true
 }
@@ -426,9 +666,10 @@ func tupleKey(vals []string) string {
 
 // ---- constraint state --------------------------------------------------
 
-// collector receives every element of one type during the pass.
+// collector receives every element of one type during the pass, reading
+// the element's attributes through run.tupleVals.
 type collector interface {
-	element(rn *run, attrs []xml.Attr)
+	element(rn *run)
 }
 
 // finisher emits the verdicts that only exist at end-of-document.
@@ -437,70 +678,77 @@ type finisher interface {
 }
 
 // newConstraintState instantiates fresh per-document collectors for the
-// compiled constraint set, grouped by the element type they observe. The
+// compiled constraint set, grouped by the element symbol they observe. The
 // collectors are streaming views over the incremental indexes of
 // index.go; retain disables the drop-the-index-early optimization so the
 // returned Indexes stay complete and support removal.
-func (c *Checker) newConstraintState(retain bool) (map[string][]collector, []finisher, *Indexes) {
-	byLabel := make(map[string][]collector)
+func (c *Checker) newConstraintState(retain bool) ([][]collector, []finisher, *Indexes) {
+	bySym := make([][]collector, len(c.types))
 	var finishers []finisher
 	idxs := &Indexes{}
 	reg := func(label string, col collector) {
-		byLabel[label] = append(byLabel[label], col)
+		if sym := c.symbol(label); sym >= 0 {
+			bySym[sym] = append(bySym[sym], col)
+		}
 	}
 	for _, con := range c.sigma {
 		switch x := con.(type) {
 		case constraint.Key:
 			ki := NewKeyIndex(x.Type, x.Attrs)
 			idxs.Entries = append(idxs.Entries, IndexEntry{Con: con, Key: ki})
-			reg(x.Type, &keyCol{c: x, idx: ki, vals: make([]string, len(x.Attrs))})
+			reg(x.Type, c.newKeyCol(x, ki))
 		case constraint.ForeignKey:
 			k := x.Key()
 			ki := NewKeyIndex(k.Type, k.Attrs)
 			inc := NewInclusionIndex(x.Inclusion)
 			idxs.Entries = append(idxs.Entries, IndexEntry{Con: con, Key: ki, Incl: inc})
-			reg(k.Type, &keyCol{c: x, idx: ki, vals: make([]string, len(k.Attrs))})
-			ic := newInclCol(x, inc, false)
+			reg(k.Type, c.newKeyCol(x, ki))
+			ic := c.newInclCol(x, inc, false)
 			reg(x.Child, (*inclusionChild)(ic))
 			reg(x.Parent, (*inclusionParent)(ic))
 			finishers = append(finishers, ic)
 		case constraint.Inclusion:
 			inc := NewInclusionIndex(x)
 			idxs.Entries = append(idxs.Entries, IndexEntry{Con: con, Incl: inc})
-			ic := newInclCol(x, inc, false)
+			ic := c.newInclCol(x, inc, false)
 			reg(x.Child, (*inclusionChild)(ic))
 			reg(x.Parent, (*inclusionParent)(ic))
 			finishers = append(finishers, ic)
 		case constraint.NotKey:
 			ki := NewKeyIndex(x.Type, []string{x.Attr})
 			idxs.Entries = append(idxs.Entries, IndexEntry{Con: con, Key: ki})
-			nk := &notKeyCol{c: x, idx: ki, retain: retain}
+			nk := &notKeyCol{c: x, idx: ki, slot: c.slots(x.Type, []string{x.Attr}), val: make([]string, 1), retain: retain}
 			reg(x.Type, nk)
 			finishers = append(finishers, nk)
 		case constraint.NotInclusion:
 			inc := NewInclusionIndex(x.Inclusion())
 			idxs.Entries = append(idxs.Entries, IndexEntry{Con: con, Incl: inc})
-			ic := newInclCol(x, inc, true)
+			ic := c.newInclCol(x, inc, true)
 			reg(inc.ChildType, (*inclusionChild)(ic))
 			reg(inc.ParentType, (*inclusionParent)(ic))
 			finishers = append(finishers, ic)
 		}
 	}
-	return byLabel, finishers, idxs
+	return bySym, finishers, idxs
 }
 
 // keyCol enforces τ[X] → τ (for keys and the key half of foreign keys) as
 // a streaming view over a KeyIndex: a repeated tuple is a violation at
 // the repeating element.
 type keyCol struct {
-	c    constraint.Constraint
-	idx  *KeyIndex
-	vals []string
+	c     constraint.Constraint
+	idx   *KeyIndex
+	slots []int32
+	vals  []string
+}
+
+func (c *Checker) newKeyCol(con constraint.Constraint, idx *KeyIndex) *keyCol {
+	return &keyCol{c: con, idx: idx, slots: c.slots(idx.Type, idx.Attrs), vals: make([]string, len(idx.Attrs))}
 }
 
 //xic:hotpath
-func (k *keyCol) element(rn *run, attrs []xml.Attr) {
-	if !tupleVals(attrs, k.idx.Attrs, k.vals) {
+func (k *keyCol) element(rn *run) {
+	if !rn.tupleVals(k.slots, k.vals) {
 		return // no tuple, cannot collide (constraint.Satisfied semantics)
 	}
 	t := tupleKey(k.vals)
@@ -511,7 +759,10 @@ func (k *keyCol) element(rn *run, attrs []xml.Attr) {
 
 // reportDup is the cold duplicate-key violation path.
 func (k *keyCol) reportDup(rn *run, first SrcPos) {
-	rn.violate(k.c, rn.path(rn.depth),
+	if rn.drop() {
+		return
+	}
+	rn.violate(k.c, rn.pathOf(rn.depth),
 		"duplicate key: this %s agrees with the %s at line %d on (%s)",
 		k.idx.Type, k.idx.Type, first.Line, strings.Join(k.idx.Attrs, ", "))
 }
@@ -523,20 +774,21 @@ func (k *keyCol) reportDup(rn *run, first SrcPos) {
 type notKeyCol struct {
 	c      constraint.NotKey
 	idx    *KeyIndex
+	slot   []int32
+	val    []string
 	sat    bool
 	retain bool
 }
 
 //xic:hotpath
-func (n *notKeyCol) element(rn *run, attrs []xml.Attr) {
+func (n *notKeyCol) element(rn *run) {
 	if n.sat && !n.retain {
 		return // satisfied; index already dropped
 	}
-	j := lookupAttr(attrs, n.c.Attr)
-	if j < 0 {
+	if !rn.tupleVals(n.slot, n.val) {
 		return
 	}
-	if _, dup := n.idx.Add(attrs[j].Value, SrcPos{Line: rn.line, Off: rn.off}); dup {
+	if _, dup := n.idx.Add(n.val[0], SrcPos{Line: rn.line, Off: rn.off}); dup {
 		n.sat = true
 		if !n.retain {
 			n.idx.seen = nil // satisfied; stop growing the index
@@ -562,15 +814,18 @@ type inclCol struct {
 	idx           *InclusionIndex
 	neg           bool
 	lacksReported bool
+	childSlots    []int32
+	parentSlots   []int32
 	vals          []string
 }
 
-func newInclCol(reported constraint.Constraint, idx *InclusionIndex, neg bool) *inclCol {
-	n := len(idx.ChildAttrs)
-	if len(idx.ParentAttrs) > n {
-		n = len(idx.ParentAttrs)
+func (c *Checker) newInclCol(reported constraint.Constraint, idx *InclusionIndex, neg bool) *inclCol {
+	return &inclCol{
+		c: reported, idx: idx, neg: neg,
+		childSlots:  c.slots(idx.ChildType, idx.ChildAttrs),
+		parentSlots: c.slots(idx.ParentType, idx.ParentAttrs),
+		vals:        make([]string, max(len(idx.ChildAttrs), len(idx.ParentAttrs))),
 	}
-	return &inclCol{c: reported, idx: idx, neg: neg, vals: make([]string, n)}
 }
 
 // inclusionChild and inclusionParent are the two element-type views of one
@@ -578,10 +833,10 @@ func newInclCol(reported constraint.Constraint, idx *InclusionIndex, neg bool) *
 type inclusionChild inclCol
 
 //xic:hotpath
-func (ic *inclusionChild) element(rn *run, attrs []xml.Attr) {
+func (ic *inclusionChild) element(rn *run) {
 	in := (*inclCol)(ic)
-	vals := in.vals[:len(in.idx.ChildAttrs)]
-	if !tupleVals(attrs, in.idx.ChildAttrs, vals) {
+	vals := in.vals[:len(in.childSlots)]
+	if !rn.tupleVals(in.childSlots, vals) {
 		in.idx.AddLacking()
 		if !in.neg && !in.lacksReported {
 			in.reportLacks(rn) //xic:ignore hotalloc violation path: fires at most once per document, steady state is valid documents
@@ -594,17 +849,20 @@ func (ic *inclusionChild) element(rn *run, attrs []xml.Attr) {
 
 // reportLacks is the cold missing-tuple violation path.
 func (in *inclCol) reportLacks(rn *run) {
-	rn.violate(in.c, rn.path(rn.depth),
+	if rn.drop() {
+		return
+	}
+	rn.violate(in.c, rn.pathOf(rn.depth),
 		"%s element lacks (%s) and cannot be matched", in.idx.ChildType, strings.Join(in.idx.ChildAttrs, ", "))
 }
 
 type inclusionParent inclCol
 
 //xic:hotpath
-func (ip *inclusionParent) element(rn *run, attrs []xml.Attr) {
+func (ip *inclusionParent) element(rn *run) {
 	in := (*inclCol)(ip)
-	vals := in.vals[:len(in.idx.ParentAttrs)]
-	if !tupleVals(attrs, in.idx.ParentAttrs, vals) {
+	vals := in.vals[:len(in.parentSlots)]
+	if !rn.tupleVals(in.parentSlots, vals) {
 		return // contributes no tuple
 	}
 	in.idx.AddParent(tupleKey(vals))
@@ -626,7 +884,10 @@ func (in *inclCol) finish(rn *run) {
 	})
 	sort.Slice(missing, func(i, j int) bool { return missing[i].Off < missing[j].Off })
 	for _, pos := range missing {
-		rn.add(Violation{Path: in.idx.ChildType, Line: pos.Line, Offset: pos.Off, Constraint: in.c,
+		if rn.drop() {
+			continue
+		}
+		rn.report.Violations = append(rn.report.Violations, Violation{Path: in.idx.ChildType, Line: pos.Line, Offset: pos.Off, Constraint: in.c,
 			Msg: fmt.Sprintf("(%s) value of this %s matches no %s element",
 				strings.Join(in.idx.ChildAttrs, ", "), in.idx.ChildType, in.idx.ParentType)})
 	}

@@ -5,6 +5,11 @@
 // for content-model matching, linear-time grammar analyses (emptiness and
 // multi-occurrence), and the simplification of arbitrary DTDs into "simple"
 // DTDs whose rules carry at most one operator (Section 4.1 of the paper).
+//
+// Attribute defaults are parsed but carry no meaning: following the paper,
+// every declared attribute is required. <!ATTLIST a id CDATA #IMPLIED>
+// declares id ∈ R(a) exactly as #REQUIRED would, so a document with <a/>
+// does not conform — an optional attribute cannot be expressed.
 package dtd
 
 import (

@@ -2,6 +2,27 @@
 // used by Fan & Libkin (Definition 2.2): finite ordered trees whose nodes
 // are elements, text nodes, or single-valued string attributes, together
 // with DTD conformance checking and conversion to and from XML text.
+//
+// Every document the module reads goes through Scanner, a byte-level
+// tokeniser shared by Parse and the streaming checker (internal/doccheck).
+// It accepts the XML that encoding/xml's strict Decoder accepts, with the
+// same error lines and offsets: elements, attributes and character data,
+// with CDATA sections, the five predefined entities and character
+// references decoded and line ends normalised; comments, processing
+// instructions (an XML declaration must say version 1.0 and UTF-8) and
+// directives such as DOCTYPE — internal subset included — are skipped, not
+// interpreted. Names are reported by local part and xmlns attributes are
+// dropped. On top of well-formedness it enforces the tree model: exactly
+// one root element, no non-whitespace character data outside it, and
+// attribute names unique by local part (a:id and b:id collide).
+//
+// The scanner deliberately diverges from encoding/xml in one place, and
+// only by rejecting: a namespace declaration that binds a prefix to the
+// name "xmlns" (xmlns:p="xmlns") is an error matching ErrUnsupported,
+// because encoding/xml would then treat p's attributes as namespace
+// declarations. FuzzScanMatchesEncodingXML checks the scanner against
+// encoding/xml on arbitrary input; TestScanReservedPrefixRejected pins the
+// divergence.
 package xmltree
 
 import (

@@ -1,18 +1,17 @@
 package xmltree
 
 import (
-	"encoding/xml"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // ParseError is a document syntax or structure error with its source
-// position: the 1-based line and the 0-based byte offset (from
-// xml.Decoder.InputOffset) of the offending construct. It unwraps to the
-// underlying decoder error when there is one.
+// position: the 1-based line and the 0-based byte offset of the offending
+// construct, both as encoding/xml would report them. It unwraps to
+// ErrUnsupported for the documents the scanner deliberately rejects.
 type ParseError struct {
 	Line   int
 	Offset int64
@@ -24,96 +23,8 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("xmltree: line %d: %s", e.Line, e.Msg)
 }
 
-// Unwrap returns the underlying decoder error, if any.
+// Unwrap returns the underlying cause, if any.
 func (e *ParseError) Unwrap() error { return e.Err }
-
-// LineReader wraps an io.Reader and maps byte offsets to 1-based line
-// numbers, so positions obtained from xml.Decoder.InputOffset can be
-// reported as lines. LineAt must be called with non-decreasing offsets;
-// callers that query it at every token keep the pending-newline buffer
-// bounded by the decoder's read-ahead instead of the document size.
-type LineReader struct {
-	r       io.Reader
-	pos     int64   // bytes delivered downstream
-	line    int     // 1 + newlines wholly before the last LineAt offset
-	pending []int64 // newline offsets not yet consumed by LineAt, ascending
-	head    int     // first live index into pending
-}
-
-// NewLineReader returns a LineReader delivering r's bytes unchanged.
-func NewLineReader(r io.Reader) *LineReader {
-	return &LineReader{r: r, line: 1}
-}
-
-// Read implements io.Reader, recording newline positions as bytes pass.
-func (lr *LineReader) Read(p []byte) (int, error) {
-	n, err := lr.r.Read(p)
-	for i := 0; i < n; i++ {
-		if p[i] == '\n' {
-			lr.pending = append(lr.pending, lr.pos+int64(i))
-		}
-	}
-	lr.pos += int64(n)
-	return n, err
-}
-
-// LineAt returns the 1-based line number containing byte offset off.
-// Offsets must be non-decreasing across calls.
-func (lr *LineReader) LineAt(off int64) int {
-	for lr.head < len(lr.pending) && lr.pending[lr.head] < off {
-		lr.line++
-		lr.head++
-	}
-	if lr.head == len(lr.pending) {
-		lr.pending = lr.pending[:0]
-		lr.head = 0
-	}
-	return lr.line
-}
-
-// AttrCollision reports two attributes of one start tag that would collide
-// under local-name keying — for example a:id and b:id, or a plain
-// duplicate — skipping namespace declarations. The paper's model has plain
-// single-valued attribute names, so such documents cannot be represented
-// faithfully and must be rejected rather than silently keeping one value.
-func AttrCollision(attrs []xml.Attr) (first, second xml.Attr, found bool) {
-	for i, a := range attrs {
-		if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-			continue
-		}
-		for _, b := range attrs[i+1:] {
-			if b.Name.Space == "xmlns" || b.Name.Local == "xmlns" {
-				continue
-			}
-			if a.Name.Local == b.Name.Local {
-				return a, b, true
-			}
-		}
-	}
-	return xml.Attr{}, xml.Attr{}, false
-}
-
-// attrName renders an attribute name with its namespace prefix when present.
-func attrName(a xml.Attr) string {
-	if a.Name.Space != "" {
-		return a.Name.Space + ":" + a.Name.Local
-	}
-	return a.Name.Local
-}
-
-// AttrCollisionError returns a positioned ParseError when the start tag's
-// attributes collide under local-name keying, or nil. Both the tree parser
-// and the streaming checker report collisions through it, so the two paths
-// cannot drift apart on which documents they reject or how they say so.
-func AttrCollisionError(t xml.StartElement, line int, off int64) *ParseError {
-	a, b, found := AttrCollision(t.Attr)
-	if !found {
-		return nil
-	}
-	return &ParseError{Line: line, Offset: off, Msg: fmt.Sprintf(
-		"element %q: attributes %s and %s collide on local name %q; values would silently overwrite",
-		t.Name.Local, attrName(a), attrName(b), b.Name.Local)}
-}
 
 // Parse reads an XML document into a tree. Whitespace-only character data
 // between elements is discarded (it is markup formatting, not content);
@@ -122,76 +33,69 @@ func AttrCollisionError(t xml.StartElement, line int, off int64) *ParseError {
 // the simplifications of the paper's model. Errors are *ParseError values
 // carrying the line and byte offset of the offending construct.
 func Parse(r io.Reader) (*Tree, error) {
-	lr := NewLineReader(r)
-	dec := xml.NewDecoder(lr)
-	var stack []*Node
-	var root *Node
-	line := 1
-	var off int64
+	s := NewScanner(r)
+	b := treeBuilder{intern: make(map[string]string)}
 	for {
-		tok, err := dec.Token()
-		off = dec.InputOffset()
-		if err == io.EOF {
-			break
-		}
+		kind, err := s.Next()
 		if err != nil {
-			var se *xml.SyntaxError
-			if errors.As(err, &se) {
-				return nil, &ParseError{Line: se.Line, Offset: off, Msg: se.Msg, Err: err}
-			}
-			return nil, fmt.Errorf("xmltree: %w", err)
+			return nil, err
 		}
-		line = lr.LineAt(off)
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if pe := AttrCollisionError(t, line, off); pe != nil {
-				return nil, pe
-			}
-			n := NewElement(t.Name.Local)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
+		switch kind {
+		case KindEOF:
+			return NewTree(b.root), nil
+		case KindStart:
+			b.flushText()
+			n := NewElement(b.name(s.Name()))
+			if attrs := s.Attrs(); len(attrs) > 0 {
+				n.Attrs = make(map[string]string, len(attrs))
+				for _, a := range attrs {
+					n.Attrs[b.name(a.Name)] = string(a.Value)
 				}
-				n.SetAttr(a.Name.Local, a.Value)
 			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, &ParseError{Line: line, Offset: off, Msg: fmt.Sprintf("multiple root elements (second is %q)", t.Name.Local)}
-				}
-				root = n
+			if len(b.stack) == 0 {
+				b.root = n
 			} else {
-				parent := stack[len(stack)-1]
+				parent := b.stack[len(b.stack)-1]
 				parent.Children = append(parent.Children, n)
 			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, &ParseError{Line: line, Offset: off, Msg: fmt.Sprintf("unbalanced end element %q", t.Name.Local)}
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			text := string(t)
-			if strings.TrimSpace(text) == "" {
-				continue
-			}
-			if len(stack) == 0 {
-				return nil, &ParseError{Line: line, Offset: off, Msg: "character data outside the root element"}
-			}
-			parent := stack[len(stack)-1]
-			if k := len(parent.Children); k > 0 && parent.Children[k-1].IsText() {
-				parent.Children[k-1].Value += text
-				continue
-			}
-			parent.Children = append(parent.Children, NewText(text))
+			b.stack = append(b.stack, n)
+		case KindEnd:
+			b.flushText()
+			b.stack = b.stack[:len(b.stack)-1]
+		case KindText:
+			b.text = append(b.text, s.Text()...)
 		}
 	}
-	if root == nil {
-		return nil, &ParseError{Line: line, Offset: off, Msg: "no root element"}
+}
+
+// treeBuilder is Parse's state: the open elements, the pending text of
+// the current text node, and the interned element and attribute names,
+// which repeat throughout a document.
+type treeBuilder struct {
+	root   *Node
+	stack  []*Node
+	text   []byte
+	intern map[string]string
+}
+
+// name returns the interned copy of a scanned name.
+func (b *treeBuilder) name(n []byte) string {
+	if v, ok := b.intern[string(n)]; ok {
+		return v
 	}
-	if len(stack) != 0 {
-		return nil, &ParseError{Line: line, Offset: off, Msg: fmt.Sprintf("unterminated element %q", stack[len(stack)-1].Label)}
+	v := string(n)
+	b.intern[v] = v
+	return v
+}
+
+// flushText ends the pending text node, if any.
+func (b *treeBuilder) flushText() {
+	if len(b.text) == 0 {
+		return
 	}
-	return NewTree(root), nil
+	parent := b.stack[len(b.stack)-1]
+	parent.Children = append(parent.Children, NewText(string(b.text)))
+	b.text = b.text[:0]
 }
 
 // ParseString is Parse on a string.
@@ -214,7 +118,7 @@ func writeNode(b *strings.Builder, n *Node, depth int) {
 	indent := strings.Repeat("  ", depth)
 	if n.IsText() {
 		b.WriteString(indent)
-		xml.EscapeText(b, []byte(n.Value))
+		escapeText(b, n.Value)
 		b.WriteString("\n")
 		return
 	}
@@ -230,7 +134,7 @@ func writeNode(b *strings.Builder, n *Node, depth int) {
 		b.WriteString(" ")
 		b.WriteString(a)
 		b.WriteString(`="`)
-		xml.EscapeText(b, []byte(n.Attrs[a]))
+		escapeText(b, n.Attrs[a])
 		b.WriteString(`"`)
 	}
 	if len(n.Children) == 0 {
@@ -240,7 +144,7 @@ func writeNode(b *strings.Builder, n *Node, depth int) {
 	// A single text child is written inline for readability.
 	if len(n.Children) == 1 && n.Children[0].IsText() {
 		b.WriteString(">")
-		xml.EscapeText(b, []byte(n.Children[0].Value))
+		escapeText(b, n.Children[0].Value)
 		b.WriteString("</")
 		b.WriteString(n.Label)
 		b.WriteString(">\n")
@@ -254,4 +158,43 @@ func writeNode(b *strings.Builder, n *Node, depth int) {
 	b.WriteString("</")
 	b.WriteString(n.Label)
 	b.WriteString(">\n")
+}
+
+// escapeText writes s with the escaping of encoding/xml's EscapeText: the
+// five markup characters, tab, newline and carriage return as references,
+// and bytes that are not XML characters as U+FFFD.
+func escapeText(b *strings.Builder, s string) {
+	last := 0
+	for i := 0; i < len(s); {
+		r, width := utf8.DecodeRuneInString(s[i:])
+		i += width
+		var esc string
+		switch r {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			if inCharRange(r) && !(r == utf8.RuneError && width == 1) {
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		b.WriteString(s[last : i-width])
+		b.WriteString(esc)
+		last = i
+	}
+	b.WriteString(s[last:])
 }

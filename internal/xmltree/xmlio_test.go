@@ -184,21 +184,3 @@ func TestParseAttrCollision(t *testing.T) {
 		t.Errorf("x = %q", v)
 	}
 }
-
-func TestLineReader(t *testing.T) {
-	lr := NewLineReader(strings.NewReader("ab\ncd\n\nef"))
-	buf := make([]byte, 64)
-	for {
-		if _, err := lr.Read(buf); err != nil {
-			break
-		}
-	}
-	for _, q := range []struct {
-		off  int64
-		want int
-	}{{0, 1}, {2, 1}, {3, 2}, {5, 2}, {6, 3}, {7, 4}, {9, 4}, {100, 4}} {
-		if got := lr.LineAt(q.off); got != q.want {
-			t.Errorf("LineAt(%d) = %d, want %d", q.off, got, q.want)
-		}
-	}
-}

@@ -236,3 +236,72 @@ func TestValidateStreamConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateStreamAllocs pins the streaming hot path at no more than one
+// heap allocation per element on valid documents: tokens are byte views,
+// element and attribute names are symbols, and the only per-element
+// allocation is the one copy of an attribute value a constraint index
+// keeps, shared by every index that reads it.
+func TestValidateStreamAllocs(t *testing.T) {
+	var teachers strings.Builder
+	teachers.WriteString("<teachers>\n")
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&teachers, `  <teacher name="t%d"><teach><subject taught_by="t%d">s</subject>`+
+			`<subject taught_by="t%d">s</subject></teach><research>r</research></teacher>`+"\n", i, i, i)
+	}
+	teachers.WriteString("</teachers>\n")
+	teachersDTD, err := os.ReadFile(filepath.Join("specs", "teachers.dtd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, dtd, cons string
+		doc             []byte
+	}{
+		{"lib", streamBenchDTD, streamBenchXIC, genDoc(t, streamBenchDTD, 20_000, 0, 7)},
+		// Σ1 without the subject key, which D1 makes unsatisfiable.
+		{"teachers", string(teachersDTD), "teacher.name -> teacher\nsubject.taught_by => teacher.name", []byte(teachers.String())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := compileStream(t, tc.dtd, tc.cons)
+			ctx := context.Background()
+			var elements int
+			allocs := testing.AllocsPerRun(5, func() {
+				rep, err := spec.ValidateStream(ctx, bytes.NewReader(tc.doc))
+				if err != nil || !rep.OK() {
+					t.Fatalf("document rejected: %v %v", err, rep.Err())
+				}
+				elements = rep.Elements
+			})
+			perElement := allocs / float64(elements)
+			t.Logf("%d elements, %.0f allocations, %.3f per element", elements, allocs, perElement)
+			if perElement > 1 {
+				t.Errorf("%.3f allocations per element, want at most 1", perElement)
+			}
+		})
+	}
+}
+
+// TestImpliedAttributesAreRequired pins the model's reading of attribute
+// defaults: every declared attribute is required, #IMPLIED included, on
+// both the tree and the streaming path.
+func TestImpliedAttributesAreRequired(t *testing.T) {
+	spec := compileStream(t, "<!ELEMENT a EMPTY>\n<!ATTLIST a id CDATA #IMPLIED>", "")
+	tree, err := ParseDocumentString(`<a/>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Validate(context.Background(), tree); err == nil {
+		t.Error("Validate accepted <a/> lacking an #IMPLIED attribute")
+	}
+	rep, err := spec.ValidateStream(context.Background(), strings.NewReader(`<a/>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() || !strings.Contains(rep.Violations[0].Msg, "lacks required attribute") {
+		t.Errorf("ValidateStream on <a/>: %v, want a missing-attribute violation", rep.Violations)
+	}
+	if rep, err := spec.ValidateStream(context.Background(), strings.NewReader(`<a id="1"/>`)); err != nil || !rep.OK() {
+		t.Errorf("ValidateStream on <a id=\"1\"/>: %v %v", rep, err)
+	}
+}
