@@ -30,6 +30,34 @@ import (
 	"xic/internal/xmltree"
 )
 
+// coreChecker binds a decision engine to d directly, below the Spec layer,
+// so the decision benchmarks time the procedures alone.
+func coreChecker(d *dtd.DTD) (*core.Checker, error) {
+	eng, err := core.NewEngine(d)
+	if err != nil {
+		return nil, err
+	}
+	return eng.NewChecker(), nil
+}
+
+// coreConsistent decides one set on a fresh engine: per-DTD work included.
+func coreConsistent(d *dtd.DTD, set []constraint.Constraint, opt *core.Options) (*core.Result, error) {
+	c, err := coreChecker(d)
+	if err != nil {
+		return nil, err
+	}
+	return c.ConsistentContext(context.Background(), set, opt)
+}
+
+// coreImplies decides one implication on a fresh engine.
+func coreImplies(d *dtd.DTD, sigma []constraint.Constraint, phi constraint.Constraint, opt *core.Options) (*core.Implication, error) {
+	c, err := coreChecker(d)
+	if err != nil {
+		return nil, err
+	}
+	return c.ImpliesContext(context.Background(), sigma, phi, opt)
+}
+
 // encodeAll builds Ψ(D,Σ) for a simplified DTD and a unary constraint set.
 func encodeAll(simp *dtd.Simplified, set []constraint.Constraint) (*cardinality.Encoding, error) {
 	enc, err := cardinality.EncodeDTD(simp)
@@ -98,7 +126,7 @@ func BenchmarkFigure3Reduction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		imp, err := core.Implies(inst.DTD, inst.Sigma, inst.Phi, &core.Options{SkipWitness: true})
+		imp, err := coreImplies(inst.DTD, inst.Sigma, inst.Phi, &core.Options{SkipWitness: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +145,7 @@ func BenchmarkFigure4Reduction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.Consistent(spec.DTD, spec.Sigma, nil)
+		res, err := coreConsistent(spec.DTD, spec.Sigma, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +181,7 @@ func BenchmarkKeysConsistency(b *testing.B) {
 		opt := &core.Options{SkipWitness: true}
 		b.Run(fmt.Sprintf("keys-%d", len(keys)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Consistent(d, keys, opt)
+				res, err := coreConsistent(d, keys, opt)
 				if err != nil || !res.Consistent {
 					b.Fatalf("keys over chain: %v %v", res, err)
 				}
@@ -190,7 +218,7 @@ func BenchmarkUnaryConsistency(b *testing.B) {
 		good := randgen.TeacherFamilyConstraints(blocks, false)
 		b.Run(fmt.Sprintf("inconsistent-%dblocks", blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Consistent(d, bad, opt)
+				res, err := coreConsistent(d, bad, opt)
 				if err != nil || res.Consistent {
 					b.Fatalf("Σ1-family must be inconsistent: %v %v", res, err)
 				}
@@ -198,7 +226,7 @@ func BenchmarkUnaryConsistency(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("consistent-%dblocks", blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Consistent(d, good, opt)
+				res, err := coreConsistent(d, good, opt)
 				if err != nil || !res.Consistent {
 					b.Fatalf("keys-only family must be consistent: %v %v", res, err)
 				}
@@ -218,7 +246,7 @@ func BenchmarkPrimaryUnaryConsistency(b *testing.B) {
 	}
 	opt := &core.Options{SkipWitness: true}
 	for i := 0; i < b.N; i++ {
-		res, err := core.Consistent(d, set, opt)
+		res, err := coreConsistent(d, set, opt)
 		if err != nil || res.Consistent {
 			b.Fatalf("restricted Σ1-family must stay inconsistent: %v %v", res, err)
 		}
@@ -237,7 +265,7 @@ not s2.id -> s2
 `)
 	opt := &core.Options{SkipWitness: true}
 	for i := 0; i < b.N; i++ {
-		res, err := core.Consistent(d, set, opt)
+		res, err := coreConsistent(d, set, opt)
 		if err != nil || !res.Consistent {
 			b.Fatalf("negation set should be consistent: %v %v", res, err)
 		}
@@ -257,7 +285,7 @@ func BenchmarkUnaryImplication(b *testing.B) {
 		opt := &core.Options{SkipWitness: true}
 		b.Run(fmt.Sprintf("%dblocks", blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				imp, err := core.Implies(d, sigma, phi, opt)
+				imp, err := coreImplies(d, sigma, phi, opt)
 				if err != nil || imp.Implied {
 					b.Fatalf("inclusion should not be implied: %v %v", imp, err)
 				}
@@ -272,7 +300,7 @@ func BenchmarkUnaryImplication(b *testing.B) {
 // fixed DTD with growing constraint sets.
 func BenchmarkFixedDTDConsistency(b *testing.B) {
 	d := randgen.WideDTD(4)
-	checker, err := core.NewChecker(d)
+	checker, err := coreChecker(d)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -282,7 +310,7 @@ func BenchmarkFixedDTDConsistency(b *testing.B) {
 		set := randgen.RandUnarySet(rng, d, randgen.SetSpec{Keys: k / 2, Inclusions: k / 2})
 		b.Run(fmt.Sprintf("sigma-%d", len(set)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := checker.Consistent(set, opt); err != nil {
+				if _, err := checker.ConsistentContext(context.Background(), set, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -294,7 +322,7 @@ func BenchmarkFixedDTDConsistency(b *testing.B) {
 // (Corollary 5.5).
 func BenchmarkFixedDTDImplication(b *testing.B) {
 	d := randgen.WideDTD(4)
-	checker, err := core.NewChecker(d)
+	checker, err := coreChecker(d)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -302,7 +330,7 @@ func BenchmarkFixedDTDImplication(b *testing.B) {
 	phi := constraint.UnaryInclusion("s0", "id", "s2", "id")
 	opt := &core.Options{SkipWitness: true}
 	for i := 0; i < b.N; i++ {
-		imp, err := checker.Implies(sigma, phi, opt)
+		imp, err := checker.ImpliesContext(context.Background(), sigma, phi, opt)
 		if err != nil || !imp.Implied {
 			b.Fatalf("transitive inclusion must be implied: %v %v", imp, err)
 		}
@@ -368,7 +396,7 @@ func BenchmarkWitnessConstruction(b *testing.B) {
 	d := randgen.TeacherFamily(2)
 	set := randgen.TeacherFamilyConstraints(2, false)
 	for i := 0; i < b.N; i++ {
-		res, err := core.Consistent(d, set, nil)
+		res, err := coreConsistent(d, set, nil)
 		if err != nil || res.Witness == nil {
 			b.Fatalf("expected witness: %v %v", res, err)
 		}
@@ -398,7 +426,7 @@ func BenchmarkSpecServe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec = spec.WithOptions(Options{SkipWitness: true})
+	spec = spec.WithSolveOptions(WithSkipWitness())
 	rng := rand.New(rand.NewSource(3))
 	sets := make([][]Constraint, 64)
 	for i := range sets {
@@ -421,7 +449,7 @@ func BenchmarkSpecConsistentAll(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec = spec.WithOptions(Options{SkipWitness: true})
+	spec = spec.WithSolveOptions(WithSkipWitness())
 	rng := rand.New(rand.NewSource(3))
 	sets := make([][]Constraint, 64)
 	for i := range sets {
@@ -449,7 +477,7 @@ func BenchmarkLIPGadgetConsistency(b *testing.B) {
 	}
 	opt := &core.Options{SkipWitness: true}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Consistent(spec.DTD, spec.Sigma, opt); err != nil {
+		if _, err := coreConsistent(spec.DTD, spec.Sigma, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -471,7 +499,7 @@ func BenchmarkRelationalVsXMLImplication(b *testing.B) {
 	phi := constraint.UnaryKey("a", "x")
 	opt := &core.Options{SkipWitness: true}
 	for i := 0; i < b.N; i++ {
-		imp, err := core.Implies(d, nil, phi, opt)
+		imp, err := coreImplies(d, nil, phi, opt)
 		if err != nil || !imp.Implied {
 			b.Fatalf("structural implication must hold: %v %v", imp, err)
 		}
@@ -515,7 +543,7 @@ func BenchmarkValidateTree(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := spec.Validate(context.Background(), tree); err != nil {
+				if err := reportErr(spec.Validate(context.Background(), tree)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -624,7 +652,7 @@ func TestWriteValidateBench(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := spec.Validate(context.Background(), tree); err != nil {
+			if err := reportErr(spec.Validate(context.Background(), tree)); err != nil {
 				t.Fatal(err)
 			}
 			final := heapNow()
@@ -688,7 +716,7 @@ func BenchmarkSolve(b *testing.B) {
 		for _, c := range corpus {
 			b.Run(mode+"/"+c.Name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := c.Run(opt); err != nil {
+					if _, err := c.Run(context.Background(), opt); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -729,7 +757,7 @@ func TestWriteSolveBench(t *testing.T) {
 	var totalRaw, totalPre time.Duration
 	for _, c := range corpus {
 		run := func(presolveOn bool) bool {
-			verdict, err := c.Run(solvebench.Options(presolveOn))
+			verdict, err := c.Run(context.Background(), solvebench.Options(presolveOn))
 			if err != nil {
 				t.Fatal(err)
 			}

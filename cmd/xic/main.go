@@ -28,7 +28,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -335,36 +334,29 @@ func runValidate(args []string) (negative bool, err error) {
 	defer f.Close()
 	ctx, cancel := checkContext(*timeout)
 	defer cancel()
+	var rep *xic.Report
 	if *stream {
-		rep, err := spec.ValidateStream(ctx, f)
-		if err != nil {
-			return false, err
+		rep, err = spec.ValidateStream(ctx, f)
+	} else {
+		var doc *xic.Tree
+		if doc, err = xic.ParseDocument(f); err == nil {
+			rep, err = spec.Validate(ctx, doc)
 		}
-		if !rep.OK() {
-			fmt.Printf("INVALID: %d violation(s) in %d elements\n", len(rep.Violations), rep.Elements)
-			for _, v := range rep.Violations {
-				fmt.Printf("  %s\n", v)
-			}
-			if rep.Truncated {
-				fmt.Println("  (further violations suppressed)")
-			}
-			return true, nil
-		}
-		fmt.Printf("VALID: %d elements conform to the DTD and satisfy all constraints\n", rep.Elements)
-		return false, nil
 	}
-	doc, err := xic.ParseDocument(f)
 	if err != nil {
 		return false, err
 	}
-	if err := spec.Validate(ctx, doc); err != nil {
-		if errors.Is(err, xic.ErrCanceled) {
-			return false, err
+	if !rep.OK() {
+		fmt.Printf("INVALID: %d violation(s) in %d elements\n", len(rep.Violations), rep.Elements)
+		for _, v := range rep.Violations {
+			fmt.Printf("  %s\n", v)
 		}
-		fmt.Printf("INVALID: %v\n", err)
+		if rep.Truncated {
+			fmt.Println("  (further violations suppressed)")
+		}
 		return true, nil
 	}
-	fmt.Println("VALID: document conforms to the DTD and satisfies all constraints")
+	fmt.Printf("VALID: %d elements conform to the DTD and satisfy all constraints\n", rep.Elements)
 	return false, nil
 }
 

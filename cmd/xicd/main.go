@@ -89,6 +89,7 @@ func main() {
 		log.Printf("xicd: shutdown: %v", err)
 	}
 	st := s.reg.Stats()
-	log.Printf("xicd: done; served %d specs (%d hits, %d misses, %d evictions)",
-		st.Specs, st.Hits, st.Misses, st.Evictions)
+	log.Printf("xicd: done; %d specs cached (%d hits, %d misses, %d evictions), %d schemas (%d hits, %d misses, %d evictions)",
+		st.SpecTier.Size, st.SpecTier.Hits, st.SpecTier.Misses, st.SpecTier.Evictions,
+		st.Schemas.Size, st.Schemas.Hits, st.Schemas.Misses, st.Schemas.Evictions)
 }

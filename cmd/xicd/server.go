@@ -96,14 +96,6 @@ func newServer(cfg config) *server {
 				"schemas": tier(st.Schemas),
 				"specs":   tier(st.SpecTier),
 			},
-			// Legacy roll-up, kept (types included) for dashboards
-			// predating the two tiers.
-			"specs":            st.Specs,
-			"hits":             st.Hits,
-			"misses":           st.Misses,
-			"evictions":        st.Evictions,
-			"compile_errors":   st.CompileErrors,
-			"compile_ms_total": float64(st.CompileTime.Microseconds()) / 1000,
 		}
 	}))
 	// Every cached spec with its two-part fingerprint, most recently used
@@ -830,13 +822,6 @@ func (s *server) handleValidate(w http.ResponseWriter, r *http.Request, spec *xi
 		return
 	}
 	s.elements.Add(int64(rep.Elements))
-	resp := validateResponse{OK: rep.OK(), Elements: rep.Elements, Truncated: rep.Truncated}
-	for _, v := range rep.Violations {
-		vj := violationJSON{Path: v.Path, Line: v.Line, Offset: v.Offset, Msg: v.Msg}
-		if v.Constraint != nil {
-			vj.Constraint = v.Constraint.String()
-		}
-		resp.Violations = append(resp.Violations, vj)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, validateResponse{OK: rep.OK(), Elements: rep.Elements,
+		Truncated: rep.Truncated, Violations: violationsJSON(rep.Violations)})
 }

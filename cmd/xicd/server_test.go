@@ -509,11 +509,11 @@ func TestConcurrentRequestsOneSpec(t *testing.T) {
 	wg.Wait()
 
 	st := s.reg.Stats()
-	if st.Misses != 1 {
-		t.Errorf("registry misses = %d, want 1 (every request shares one compiled spec)", st.Misses)
+	if st.SpecTier.Misses != 1 {
+		t.Errorf("registry misses = %d, want 1 (every request shares one compiled spec)", st.SpecTier.Misses)
 	}
-	if st.Hits < workers {
-		t.Errorf("registry hits = %d, suspiciously low", st.Hits)
+	if st.SpecTier.Hits < workers {
+		t.Errorf("registry hits = %d, suspiciously low", st.SpecTier.Hits)
 	}
 }
 
@@ -549,10 +549,7 @@ func TestMetaHealthAndVars(t *testing.T) {
 	}
 	vars := decode[struct {
 		Cache struct {
-			Hits   uint64 `json:"hits"`
-			Misses uint64 `json:"misses"`
-			Specs  int    `json:"specs"` // legacy roll-up: cached spec count
-			Tiers  struct {
+			Tiers struct {
 				Schemas tierVars `json:"schemas"`
 				Specs   tierVars `json:"specs"`
 			} `json:"tiers"`
@@ -574,8 +571,11 @@ func TestMetaHealthAndVars(t *testing.T) {
 		} `json:"solve"`
 		Requests map[string]int64 `json:"requests_total"`
 	}](t, w)
-	if vars.Cache.Misses != 1 || vars.Cache.Hits < 1 || vars.Cache.Specs != 1 {
-		t.Errorf("legacy cache roll-up = %+v", vars.Cache)
+	// The cache block holds the tiers and nothing else.
+	if cache := decode[struct {
+		Cache map[string]json.RawMessage `json:"cache"`
+	}](t, w).Cache; len(cache) != 1 || cache["tiers"] == nil {
+		t.Errorf("cache vars carry keys besides tiers: %s", w.Body.Bytes())
 	}
 	// Per-tier counters: one schema compiled, one spec bound, both reused.
 	if vars.Cache.Tiers.Specs.Size != 1 || vars.Cache.Tiers.Specs.Misses != 1 || vars.Cache.Tiers.Specs.Hits < 1 {

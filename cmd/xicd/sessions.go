@@ -168,8 +168,8 @@ func (s *server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// violationsJSON maps a violation slice onto the wire shape shared with
-// /validate.
+// violationsJSON maps a violation slice onto the wire shape shared by
+// /validate and the session endpoints.
 func violationsJSON(vs []xic.Violation) []violationJSON {
 	out := make([]violationJSON, 0, len(vs))
 	for _, v := range vs {

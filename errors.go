@@ -78,8 +78,8 @@ func HTTPStatus(err error) int {
 }
 
 // ParseError is a syntax error in one of the three textual inputs, with
-// the position of the offending construct. It replaces the stringly
-// errors of the pre-Spec API; match it with errors.As.
+// the position of the offending construct; match it with errors.As.
+// Spec.Validate reports a nil tree as one too, like an empty document.
 type ParseError struct {
 	// Input names the input kind: "dtd", "constraints" or "document".
 	Input string
@@ -187,14 +187,4 @@ func wrapSolveError(err error) error {
 		return &SpecError{Stage: "options", Err: err}
 	}
 	return err
-}
-
-// ViolationError reports the first constraint a document violates during
-// dynamic validation.
-type ViolationError struct {
-	Violated Constraint
-}
-
-func (e *ViolationError) Error() string {
-	return "xic: document violates constraint " + e.Violated.String()
 }

@@ -59,7 +59,7 @@ func main() {
 	sigma = append(sigma, xic.UnaryKey("pin", "mid"))
 	withKey := append(sigma, xic.UnaryKey("pin", "in"))
 
-	res, err := base.WithOptions(xic.Options{SkipWitness: true}).ConsistentWith(ctx, withKey...)
+	res, err := base.WithSolveOptions(xic.WithSkipWitness()).ConsistentWith(ctx, withKey...)
 	if err != nil {
 		log.Fatal(err)
 	}

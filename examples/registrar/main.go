@@ -83,14 +83,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = spec.Validate(ctx, doc)
-	var viol *xic.ViolationError
+	rep, err := spec.Validate(ctx, doc)
 	switch {
-	case errors.As(err, &viol):
-		fmt.Printf("registry document: violates %s\n", viol.Violated)
-		fmt.Println("(student s2 enrolls without being registered)")
 	case err != nil:
 		log.Fatal(err)
+	case !rep.OK():
+		fmt.Printf("registry document: violates %s\n", rep.Violations[0].Constraint)
+		fmt.Println("(student s2 enrolls without being registered)")
 	default:
 		fmt.Println("registry document: valid")
 	}

@@ -70,8 +70,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := compiled.Validate(context.Background(), tree); err != nil {
-		log.Fatalf("tree fails validation — reduction broken: %v", err)
+	if rep, err := compiled.Validate(context.Background(), tree); err != nil || !rep.OK() {
+		log.Fatalf("tree fails validation — reduction broken: %v %v", err, rep)
 	}
 	fmt.Println()
 	fmt.Println("tree conforms to the generated DTD and satisfies Σ: yes")

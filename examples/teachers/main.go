@@ -6,7 +6,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 
@@ -68,23 +67,25 @@ subject.taught_by => teacher.name
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := dtdOnly.Validate(ctx, doc); err != nil {
-		log.Fatal(err)
+	if rep, err := dtdOnly.Validate(ctx, doc); err != nil || !rep.OK() {
+		log.Fatal(err, rep)
 	}
 	fmt.Println("Figure 1 conforms to D1: yes")
 
 	// …but violates Σ1.
-	err = spec1.Validate(ctx, doc)
-	var viol *xic.ViolationError
-	if errors.As(err, &viol) {
-		fmt.Printf("Figure 1 against Σ1: violates %s\n", viol.Violated)
+	rep, err := spec1.Validate(ctx, doc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, v := range rep.Violations {
+		fmt.Printf("Figure 1 against Σ1: violates %s (%s)\n", v.Constraint, v.Path)
 	}
 
 	// 2. Dynamic validation cannot tell a bad document from a bad
 	// specification. Static analysis can: Σ1 is unsatisfiable over D1, so
 	// *every* document will fail — repeated validation failures are the
 	// specification's fault.
-	res, err := spec1.WithOptions(xic.Options{SkipWitness: true}).Consistent(ctx)
+	res, err := spec1.ConsistentOpts(ctx, xic.WithSkipWitness())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,8 +110,8 @@ teacher.name => subject.taught_by
 	fmt.Print(xic.SerializeDocument(res.Witness))
 
 	// 4. The witness validates dynamically, closing the loop.
-	if err := spec2.Validate(ctx, res.Witness); err != nil {
-		log.Fatal(err)
+	if rep, err := spec2.Validate(ctx, res.Witness); err != nil || !rep.OK() {
+		log.Fatal(err, rep)
 	}
 	fmt.Println("witness passes dynamic validation: yes")
 }

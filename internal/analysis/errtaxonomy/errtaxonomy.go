@@ -14,9 +14,8 @@
 //	if err != nil { return err }     // flagged
 //	if err != nil { return wrap(err) } // ok: same-package wrap helper
 //
-// shapes are both handled. Functions marked "Deprecated:" are exempt (the
-// legacy wrappers predate the taxonomy); anything intentionally stringly
-// needs an //xic:ignore errtaxonomy <reason>.
+// shapes are both handled. Anything intentionally stringly needs an
+// //xic:ignore errtaxonomy <reason>.
 package errtaxonomy
 
 import (
@@ -47,7 +46,7 @@ func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !exportedFunc(pass, fd) || isDeprecated(fd.Doc) {
+			if !ok || fd.Body == nil || !exportedFunc(pass, fd) {
 				continue
 			}
 			c.checkFunc(fd)
@@ -75,18 +74,6 @@ func exportedFunc(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	}
 	named := namedOf(sig.Recv().Type())
 	return named != nil && named.Obj().Exported()
-}
-
-func isDeprecated(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.HasPrefix(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), " "), "Deprecated:") {
-			return true
-		}
-	}
-	return false
 }
 
 func namedOf(t types.Type) *types.Named {
@@ -355,8 +342,8 @@ func (c *checker) classifyErrorf(call *ast.CallExpr, seen map[types.Object]bool)
 }
 
 // allowedType reports whether t (behind a pointer) is a taxonomy error
-// type: one declared in the xic package itself — SpecError, ParseError,
-// ViolationError and future members — or one re-exported from it under an
+// type: one declared in the xic package itself — SpecError, ParseError
+// and future members — or one re-exported from it under an
 // exported alias (type InvalidDocumentError = docsession.…), which makes
 // the internal declaration part of the public contract all the same.
 func (c *checker) allowedType(t types.Type) bool {

@@ -11,7 +11,7 @@
 //
 //   - a function in the type's own package whose results include T or *T —
 //     the constructor heuristic, which covers New-style builders and
-//     with-er copies like Spec.WithOptions;
+//     with-er copies like Spec.WithSolveOptions;
 //   - a function literal passed to (*sync.Once).Do, the engine's lazy-init
 //     pattern, where the Once itself provides the happens-before edge;
 //   - a func init() in the defining package.

@@ -14,9 +14,9 @@ func (c *Checker) SolveContext(ctx context.Context, n int) error {
 	return nil
 }
 
-// Deprecated: use SolveContext.
+// Deprecated: use SolveContext. The marker exempts nothing.
 func (c *Checker) Solve(n int) error {
-	return c.SolveContext(context.Background(), n)
+	return c.SolveContext(context.Background(), n) // want "severs the caller's cancellation chain"
 }
 
 // RunContext is the package-level ctx-taking variant.
@@ -28,9 +28,9 @@ func RunContext(ctx context.Context, n int) error {
 
 // Run is the ctx-free variant callers without a context use.
 //
-// Deprecated: use RunContext.
+// Deprecated: use RunContext. The marker exempts nothing.
 func Run(n int) error {
-	return RunContext(context.Background(), n)
+	return RunContext(context.Background(), n) // want "severs the caller's cancellation chain"
 }
 
 func Manufactured() context.Context {

@@ -14,9 +14,9 @@
 //     (Theorems 4.10 and 5.4).
 //
 // Multi-attribute sets mixing keys with foreign keys are undecidable
-// (Theorem 3.1); Consistent reports ErrUndecidable for them. For a fixed
-// DTD the number of encoding variables is a constant, so consistency and
-// implication run in polynomial time in |Σ| (Corollaries 4.11 and 5.5);
+// (Theorem 3.1); ConsistentContext reports ErrUndecidable for them. For a
+// fixed DTD the number of encoding variables is a constant, so consistency
+// and implication run in polynomial time in |Σ| (Corollaries 4.11 and 5.5);
 // Engine and Checker split that setting into two stages: an Engine
 // validates and simplifies the DTD once and builds the cardinality-encoding
 // template Ψ_{D_N} once, and each Checker bound to it (Engine.NewChecker)
@@ -77,8 +77,8 @@ func wrapCanceled(err error) error {
 	return err
 }
 
-// orBackground guards against nil contexts so that the ctx-free facade can
-// delegate without allocating one per call site.
+// orBackground guards against nil contexts, which the *Context methods
+// accept as "no bound".
 func orBackground(ctx context.Context) context.Context {
 	if ctx == nil {
 		return context.Background()
@@ -90,8 +90,6 @@ func orBackground(ctx context.Context) context.Context {
 type Options struct {
 	// Solver bounds the branch-and-bound search.
 	Solver ilp.Options
-	// Witness bounds witness construction.
-	Witness witness.Limits
 	// SkipWitness skips witness construction, returning the bare decision.
 	SkipWitness bool
 }
@@ -101,13 +99,6 @@ func (o *Options) solver() *ilp.Options {
 		return nil
 	}
 	return &o.Solver
-}
-
-func (o *Options) witnessLimits() *witness.Limits {
-	if o == nil {
-		return nil
-	}
-	return &o.Witness
 }
 
 func (o *Options) skipWitness() bool { return o != nil && o.SkipWitness }
@@ -126,31 +117,6 @@ type Result struct {
 // (Theorem 3.5(1)); linear time.
 func ConsistentDTD(d *dtd.DTD) bool {
 	return d.HasValidTree()
-}
-
-// Consistent decides the consistency problem for a DTD and constraint set,
-// dispatching on the constraint class:
-//
-//   - keys only (C_K, multi-attribute allowed): linear-time decision
-//     (Theorem 3.5(2));
-//   - unary classes up to C^Unary_{K¬,IC¬}: the NP procedures of
-//     Sections 4–5;
-//   - multi-attribute sets with foreign keys or inclusions: ErrUndecidable.
-//
-// Consistent redoes the per-DTD work on every call; use a Checker (or the
-// public xic.Spec) when checking many sets against one DTD.
-func Consistent(d *dtd.DTD, set []constraint.Constraint, opt *Options) (*Result, error) {
-	return ConsistentContext(nil, d, set, opt) // nil-guarded by orBackground
-}
-
-// ConsistentContext is Consistent under a context: cancellation aborts the
-// NP search and witness construction with an error matching ErrCanceled.
-func ConsistentContext(ctx context.Context, d *dtd.DTD, set []constraint.Constraint, opt *Options) (*Result, error) {
-	if err := d.Check(); err != nil {
-		return nil, err
-	}
-	c := ephemeralChecker(d)
-	return c.consistentChecked(orBackground(ctx), set, opt)
 }
 
 // Engine is the compiled per-DTD artifact of the two-stage API: DTD
@@ -184,9 +150,6 @@ func NewEngine(d *dtd.DTD) (*Engine, error) {
 	}
 	return &Engine{d: d}, nil
 }
-
-// DTD returns the engine's DTD.
-func (e *Engine) DTD() *dtd.DTD { return e.d }
 
 // Precompile forces the lazy per-DTD work — simplification and the
 // cardinality-encoding template — so that Checkers bound to this engine pay
@@ -231,11 +194,6 @@ func (e *Engine) template() (*cardinality.Encoding, error) {
 // number of goroutines concurrently.
 type Checker struct {
 	eng *Engine
-
-	// ephemeral marks throwaway checkers behind the one-shot package-level
-	// entry points: encoding once-and-clone would cost more than just
-	// encoding, so template() builds fresh instead of caching.
-	ephemeral bool
 
 	stats solveCounters
 }
@@ -347,59 +305,22 @@ func (c *Checker) recordSolve(res *ilp.Result) {
 	}
 }
 
-// NewChecker validates the DTD once; simplification and the encoding
-// template are built lazily on the first NP-class check (or eagerly via
-// Precompile). The Checker owns a private Engine; use NewEngine plus
-// Engine.NewChecker to share the compiled state across several Checkers.
-func NewChecker(d *dtd.DTD) (*Checker, error) {
-	eng, err := NewEngine(d)
-	if err != nil {
-		return nil, err
-	}
-	return &Checker{eng: eng}, nil
-}
-
-// ephemeralChecker wraps an already-validated DTD for the one-shot
-// package-level entry points.
-func ephemeralChecker(d *dtd.DTD) *Checker {
-	return &Checker{eng: &Engine{d: d}, ephemeral: true}
-}
-
 // DTD returns the checker's DTD.
 func (c *Checker) DTD() *dtd.DTD { return c.eng.d }
 
-// Engine returns the compiled per-DTD engine the checker is bound to.
-func (c *Checker) Engine() *Engine { return c.eng }
-
-// Precompile forces the lazy per-DTD work — simplification and the
-// cardinality-encoding template — so that later checks pay only per-request
-// cost. It is idempotent and safe to call concurrently.
-func (c *Checker) Precompile() error {
-	return c.eng.Precompile()
-}
-
-// template returns a private clone of the compiled Ψ_{D_N} encoding.
-// Ephemeral checkers skip the engine cache and hand out a fresh encoding
-// directly: encoding once-and-clone would cost more than just encoding.
-func (c *Checker) template() (*cardinality.Encoding, error) {
-	if c.ephemeral {
-		return cardinality.EncodeDTD(c.eng.simplified())
-	}
-	return c.eng.template()
-}
-
-// Consistent is Consistent against the fixed DTD.
-func (c *Checker) Consistent(set []constraint.Constraint, opt *Options) (*Result, error) {
-	return c.ConsistentContext(nil, set, opt) // nil-guarded by orBackground
-}
-
-// ConsistentContext is Consistent under a context; see ConsistentContext at
-// package level for cancellation semantics.
+// ConsistentContext decides the consistency problem for the fixed DTD and
+// a constraint set, dispatching on the constraint class:
+//
+//   - keys only (C_K, multi-attribute allowed): linear-time decision
+//     (Theorem 3.5(2));
+//   - unary classes up to C^Unary_{K¬,IC¬}: the NP procedures of
+//     Sections 4–5;
+//   - multi-attribute sets with foreign keys or inclusions: ErrUndecidable.
+//
+// Cancelling ctx (nil means no bound) aborts the NP search and witness
+// construction with an error matching ErrCanceled.
 func (c *Checker) ConsistentContext(ctx context.Context, set []constraint.Constraint, opt *Options) (*Result, error) {
-	return c.consistentChecked(orBackground(ctx), set, opt)
-}
-
-func (c *Checker) consistentChecked(ctx context.Context, set []constraint.Constraint, opt *Options) (*Result, error) {
+	ctx = orBackground(ctx)
 	if err := wrapCanceled(ctx.Err()); err != nil {
 		return nil, err
 	}
@@ -413,7 +334,7 @@ func (c *Checker) consistentChecked(ctx context.Context, set []constraint.Constr
 	case constraint.ClassKFK, constraint.ClassOther:
 		return nil, fmt.Errorf("%w (set is in %s)", ErrUndecidable, class)
 	}
-	enc, err := c.template()
+	enc, err := c.eng.template()
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +350,7 @@ func (c *Checker) consistentChecked(ctx context.Context, set []constraint.Constr
 	if !sol.Feasible || opt.skipWitness() {
 		return res, nil
 	}
-	tree, err := witness.Build(ctx, enc, set, sol.Values, opt.witnessLimits())
+	tree, err := witness.Build(ctx, enc, set, sol.Values, nil)
 	if err != nil {
 		return nil, wrapCanceled(err)
 	}
@@ -460,7 +381,7 @@ func (c *Checker) consistentKeysOnly(ctx context.Context, set []constraint.Const
 // buildSkeleton constructs some tree conforming to the DTD via the
 // unconstrained encoding.
 func (c *Checker) buildSkeleton(ctx context.Context, opt *Options) (*xmltree.Tree, error) {
-	enc, err := c.template()
+	enc, err := c.eng.template()
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +396,7 @@ func (c *Checker) buildSkeleton(ctx context.Context, opt *Options) (*xmltree.Tre
 	if !sol.Feasible {
 		return nil, fmt.Errorf("core: internal error: DTD with valid trees has infeasible Ψ_D")
 	}
-	tree, err := witness.Build(ctx, enc, nil, sol.Values, opt.witnessLimits())
+	tree, err := witness.Build(ctx, enc, nil, sol.Values, nil)
 	return tree, wrapCanceled(err)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestConsistentDTD(t *testing.T) {
 
 func TestSigma1Inconsistent(t *testing.T) {
 	// The paper's headline example: Σ1 over D1 is inconsistent.
-	res, err := Consistent(dtd.Teachers(), constraint.Sigma1(), nil)
+	res, err := consistent(dtd.Teachers(), constraint.Sigma1(), nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -41,7 +42,7 @@ func TestSigma1WithoutForeignKeyConsistent(t *testing.T) {
 teacher.name -> teacher
 subject.taught_by -> subject
 `)
-	res, err := Consistent(dtd.Teachers(), set, nil)
+	res, err := consistent(dtd.Teachers(), set, nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -67,7 +68,7 @@ teacher.name -> teacher
 subject.taught_by -> subject
 teacher.name => subject.taught_by
 `)
-	res, err := Consistent(dtd.Teachers(), set, nil)
+	res, err := consistent(dtd.Teachers(), set, nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -81,7 +82,7 @@ func TestKeysOnlyMultiAttribute(t *testing.T) {
 course(dept, course_no) -> course
 student(student_id) -> student
 `)
-	res, err := Consistent(dtd.School(), set, nil)
+	res, err := consistent(dtd.School(), set, nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -105,7 +106,7 @@ func TestKeysOnlyOverEmptyDTD(t *testing.T) {
 <!ELEMENT foo (foo)>
 <!ATTLIST foo k CDATA #REQUIRED>
 `)
-	res, err := Consistent(d, constraint.MustParse("foo.k -> foo"), nil)
+	res, err := consistent(d, constraint.MustParse("foo.k -> foo"), nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -115,7 +116,7 @@ func TestKeysOnlyOverEmptyDTD(t *testing.T) {
 }
 
 func TestUndecidableClassRejected(t *testing.T) {
-	_, err := Consistent(dtd.School(), constraint.Sigma3(), nil)
+	_, err := consistent(dtd.School(), constraint.Sigma3(), nil)
 	if !errors.Is(err, ErrUndecidable) {
 		t.Errorf("Σ3 (multi-attribute keys + foreign keys) should report ErrUndecidable, got %v", err)
 	}
@@ -126,7 +127,7 @@ func TestFullClassWithNegations(t *testing.T) {
 teacher.name -> teacher
 not subject.taught_by <= teacher.name
 `)
-	res, err := Consistent(dtd.Teachers(), set, nil)
+	res, err := consistent(dtd.Teachers(), set, nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -145,7 +146,7 @@ not subject.taught_by <= teacher.name
 }
 
 func TestSkipWitness(t *testing.T) {
-	res, err := Consistent(dtd.Teachers(), nil, &Options{SkipWitness: true})
+	res, err := consistent(dtd.Teachers(), nil, &Options{SkipWitness: true})
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -156,18 +157,18 @@ func TestSkipWitness(t *testing.T) {
 
 func TestInvalidInputs(t *testing.T) {
 	bad := dtd.New("r") // root not declared
-	if _, err := Consistent(bad, nil, nil); err == nil {
+	if _, err := consistent(bad, nil, nil); err == nil {
 		t.Error("invalid DTD accepted")
 	}
-	if _, err := Consistent(dtd.Teachers(), constraint.MustParse("ghost.x -> ghost"), nil); err == nil {
+	if _, err := consistent(dtd.Teachers(), constraint.MustParse("ghost.x -> ghost"), nil); err == nil {
 		t.Error("constraints over undeclared types accepted")
 	}
 }
 
 func TestCheckerReuse(t *testing.T) {
-	c, err := NewChecker(dtd.Teachers())
+	c, err := newChecker(dtd.Teachers())
 	if err != nil {
-		t.Fatalf("NewChecker: %v", err)
+		t.Fatalf("newChecker: %v", err)
 	}
 	sets := []string{
 		"teacher.name -> teacher",
@@ -176,7 +177,7 @@ func TestCheckerReuse(t *testing.T) {
 	}
 	wantConsistent := []bool{true, true, false}
 	for i, src := range sets {
-		res, err := c.Consistent(constraint.MustParse(src), &Options{SkipWitness: true})
+		res, err := c.ConsistentContext(context.Background(), constraint.MustParse(src), &Options{SkipWitness: true})
 		if err != nil {
 			t.Fatalf("checker run %d: %v", i, err)
 		}
@@ -192,7 +193,7 @@ func TestPrimaryKeyRestrictionHelper(t *testing.T) {
 	}
 	// Consistency is NP-complete even under the restriction (Cor 4.8); the
 	// dispatcher treats restricted sets identically.
-	res, err := Consistent(dtd.Teachers(), constraint.Sigma1(), &Options{SkipWitness: true})
+	res, err := consistent(dtd.Teachers(), constraint.Sigma1(), &Options{SkipWitness: true})
 	if err != nil || res.Consistent {
 		t.Errorf("restricted Σ1 should stay inconsistent (err=%v)", err)
 	}

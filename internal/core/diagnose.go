@@ -5,14 +5,12 @@ import (
 	"errors"
 
 	"xic/internal/constraint"
-	"xic/internal/dtd"
-	"xic/internal/ilp"
 )
 
-// ErrNothingToDiagnose is returned by Diagnose when the specification is
-// consistent: there is no inconsistency to explain. It is a sentinel so
-// serving layers can distinguish this client-state condition from real
-// failures.
+// ErrNothingToDiagnose is returned by DiagnoseContext when the
+// specification is consistent: there is no inconsistency to explain. It is
+// a sentinel so serving layers can distinguish this client-state condition
+// from real failures.
 var ErrNothingToDiagnose = errors.New("core: specification is consistent; nothing to diagnose")
 
 // Diagnosis explains an inconsistent specification.
@@ -26,10 +24,10 @@ type Diagnosis struct {
 	Core []constraint.Constraint
 }
 
-// Diagnose explains why a specification is inconsistent by computing a
-// minimal inconsistent core via the standard deletion filter: each
-// constraint is dropped iff the remainder stays inconsistent. The result
-// needs |Σ|+1 consistency checks. It errors if the specification is in an
+// DiagnoseContext explains why a specification is inconsistent by
+// computing a minimal inconsistent core via the standard deletion filter:
+// each constraint is dropped iff the remainder stays inconsistent. The
+// result needs |Σ|+1 consistency checks. It errors if the specification is in an
 // undecidable class or actually consistent.
 //
 // This is a first step toward the "distinguish good XML design from bad"
@@ -38,29 +36,21 @@ type Diagnosis struct {
 // unsatisfiable (for Σ1 over D1, all three constraints — the two keys and
 // the foreign key jointly force |subject| ≤ |teacher| < |subject|... the
 // subject key plus foreign key alone suffice, so the core has two members).
-func Diagnose(d *dtd.DTD, set []constraint.Constraint, opt *Options) (*Diagnosis, error) {
-	return DiagnoseContext(nil, d, set, opt) // nil-guarded by orBackground
-}
-
-// DiagnoseContext is Diagnose under a context: cancellation aborts the
-// |Σ|+1 consistency checks with an error matching ErrCanceled.
-func DiagnoseContext(ctx context.Context, d *dtd.DTD, set []constraint.Constraint, opt *Options) (*Diagnosis, error) {
-	if err := d.Check(); err != nil {
-		return nil, err
-	}
-	c := &Checker{eng: &Engine{d: d}}
-	return c.DiagnoseContext(ctx, set, opt)
-}
-
-// DiagnoseContext is Diagnose against the fixed DTD: the per-DTD work is
-// paid once for all |Σ|+1 consistency checks of the deletion filter.
+//
+// The per-DTD work is paid once for all |Σ|+1 consistency checks, and
+// cancelling ctx (nil means no bound) aborts them with an error matching
+// ErrCanceled.
 func (c *Checker) DiagnoseContext(ctx context.Context, set []constraint.Constraint, opt *Options) (*Diagnosis, error) {
 	ctx = orBackground(ctx)
 	if !c.eng.d.HasValidTree() {
 		return &Diagnosis{DTDEmpty: true}, nil
 	}
+	quiet := Options{SkipWitness: true}
+	if opt != nil {
+		quiet.Solver = opt.Solver
+	}
 	decide := func(s []constraint.Constraint) (bool, error) {
-		res, err := c.consistentChecked(ctx, s, &Options{Solver: opt.solverOptions(), SkipWitness: true})
+		res, err := c.ConsistentContext(ctx, s, &quiet)
 		if err != nil {
 			return false, err
 		}
@@ -89,11 +79,4 @@ func (c *Checker) DiagnoseContext(ctx context.Context, set []constraint.Constrai
 		}
 	}
 	return &Diagnosis{Core: core}, nil
-}
-
-func (o *Options) solverOptions() (out ilp.Options) {
-	if o != nil {
-		return o.Solver
-	}
-	return out
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestDiagnoseSigma1(t *testing.T) {
-	diag, err := Diagnose(dtd.Teachers(), constraint.Sigma1(), nil)
+	diag, err := diagnose(dtd.Teachers(), constraint.Sigma1(), nil)
 	if err != nil {
 		t.Fatalf("Diagnose: %v", err)
 	}
@@ -34,7 +34,7 @@ func TestDiagnoseSigma1(t *testing.T) {
 	for i := range diag.Core {
 		rest := append([]constraint.Constraint{}, diag.Core[:i]...)
 		rest = append(rest, diag.Core[i+1:]...)
-		res, err := Consistent(dtd.Teachers(), rest, &Options{SkipWitness: true})
+		res, err := consistent(dtd.Teachers(), rest, &Options{SkipWitness: true})
 		if err != nil {
 			t.Fatalf("Consistent: %v", err)
 		}
@@ -50,7 +50,7 @@ func TestDiagnoseEmptyDTD(t *testing.T) {
 <!ELEMENT foo (foo)>
 <!ATTLIST foo k CDATA #REQUIRED>
 `)
-	diag, err := Diagnose(d, constraint.MustParse("foo.k -> foo"), nil)
+	diag, err := diagnose(d, constraint.MustParse("foo.k -> foo"), nil)
 	if err != nil {
 		t.Fatalf("Diagnose: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestDiagnoseEmptyDTD(t *testing.T) {
 }
 
 func TestDiagnoseConsistentSpecErrors(t *testing.T) {
-	if _, err := Diagnose(dtd.Teachers(), constraint.MustParse("teacher.name -> teacher"), nil); err == nil {
+	if _, err := diagnose(dtd.Teachers(), constraint.MustParse("teacher.name -> teacher"), nil); err == nil {
 		t.Error("Diagnose of a consistent specification should error")
 	}
 }
@@ -79,7 +79,7 @@ func TestDiagnoseRedundantInconsistency(t *testing.T) {
 `)
 	// Each ¬key needs two nodes, but the DTD allows exactly one a and one b.
 	set := constraint.MustParse("not a.x -> a\nnot b.y -> b")
-	diag, err := Diagnose(d, set, nil)
+	diag, err := diagnose(d, set, nil)
 	if err != nil {
 		t.Fatalf("Diagnose: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestDiagnoseRedundantInconsistency(t *testing.T) {
 }
 
 func TestDiagnoseUndecidableClass(t *testing.T) {
-	if _, err := Diagnose(dtd.School(), constraint.Sigma3(), nil); err == nil {
+	if _, err := diagnose(dtd.School(), constraint.Sigma3(), nil); err == nil {
 		t.Error("Diagnose must refuse undecidable classes")
 	}
 }

@@ -22,35 +22,17 @@ type Implication struct {
 	Counterexample *xmltree.Tree
 }
 
-// Implies decides the implication problem (D,Σ) ⊢ φ: does every tree
-// conforming to D and satisfying Σ also satisfy φ?
+// ImpliesContext decides the implication problem (D,Σ) ⊢ φ for the fixed
+// DTD: does every tree conforming to D and satisfying Σ also satisfy φ?
 //
 //   - Σ and φ keys only: linear time (Theorem 3.5(3), Lemma 3.7);
 //   - unary Σ and unary φ (key, inclusion or foreign key): coNP, by
 //     checking consistency of Σ ∧ ¬φ (Theorems 4.10 and 5.4); a foreign
 //     key is implied iff both its key and its inclusion part are;
 //   - anything else multi-attribute: ErrUndecidable (Corollary 3.4).
-func Implies(d *dtd.DTD, sigma []constraint.Constraint, phi constraint.Constraint, opt *Options) (*Implication, error) {
-	return ImpliesContext(nil, d, sigma, phi, opt) // nil-guarded by orBackground
-}
-
-// ImpliesContext is Implies under a context: cancellation aborts the coNP
-// refutation search with an error matching ErrCanceled.
-func ImpliesContext(ctx context.Context, d *dtd.DTD, sigma []constraint.Constraint, phi constraint.Constraint, opt *Options) (*Implication, error) {
-	if err := d.Check(); err != nil {
-		return nil, err
-	}
-	c := ephemeralChecker(d)
-	return c.ImpliesContext(ctx, sigma, phi, opt)
-}
-
-// Implies is Implies against the fixed DTD (Corollary 5.5's PTIME setting).
-func (c *Checker) Implies(sigma []constraint.Constraint, phi constraint.Constraint, opt *Options) (*Implication, error) {
-	return c.ImpliesContext(nil, sigma, phi, opt) // nil-guarded by orBackground
-}
-
-// ImpliesContext is Implies under a context; see ImpliesContext at package
-// level for cancellation semantics.
+//
+// Cancelling ctx (nil means no bound) aborts the coNP refutation search
+// with an error matching ErrCanceled.
 func (c *Checker) ImpliesContext(ctx context.Context, sigma []constraint.Constraint, phi constraint.Constraint, opt *Options) (*Implication, error) {
 	ctx = orBackground(ctx)
 	if err := wrapCanceled(ctx.Err()); err != nil {
@@ -85,7 +67,7 @@ func (c *Checker) ImpliesContext(ctx context.Context, sigma []constraint.Constra
 		if err != nil {
 			return nil, err
 		}
-		refuted, err := c.consistentChecked(ctx, append(append([]constraint.Constraint(nil), sigma...), negs...), opt)
+		refuted, err := c.ConsistentContext(ctx, append(append([]constraint.Constraint(nil), sigma...), negs...), opt)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +90,7 @@ func ImpliesKey(d *dtd.DTD, sigma []constraint.Constraint, phi constraint.Key) (
 		return false, err
 	}
 	if constraint.ClassOf(sigma) != constraint.ClassK {
-		return false, fmt.Errorf("core: ImpliesKey requires a keys-only Σ; use Implies for unary classes")
+		return false, fmt.Errorf("core: ImpliesKey requires a keys-only Σ; use ImpliesContext for unary classes")
 	}
 	if subsumesKey(sigma, phi) {
 		return true, nil
@@ -157,7 +139,7 @@ func (c *Checker) impliesKeyByKeys(ctx context.Context, sigma []constraint.Const
 	}
 
 	// Build a tree with at least two φ-type nodes.
-	enc, err := c.template()
+	enc, err := c.eng.template()
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +159,7 @@ func (c *Checker) impliesKeyByKeys(ctx context.Context, sigma []constraint.Const
 	if !sol.Feasible {
 		return nil, fmt.Errorf("core: internal error: MaxOccurrences ≥ 2 but encoding forbids two %q nodes", phi.Type)
 	}
-	tree, err := witness.Build(ctx, enc, nil, sol.Values, opt.witnessLimits())
+	tree, err := witness.Build(ctx, enc, nil, sol.Values, nil)
 	if err != nil {
 		return nil, wrapCanceled(err)
 	}

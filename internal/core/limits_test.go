@@ -2,27 +2,13 @@ package core
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"xic/internal/constraint"
 	"xic/internal/dtd"
 	"xic/internal/ilp"
 	"xic/internal/reduction"
-	"xic/internal/witness"
 )
-
-func TestWitnessNodeBudget(t *testing.T) {
-	// D1's minimal witness needs 8 nodes (teachers, teacher, teach,
-	// research, 2 subjects, 2 texts…); a budget of 2 must fail loudly
-	// rather than truncate.
-	_, err := Consistent(dtd.Teachers(), nil, &Options{
-		Witness: witness.Limits{MaxNodes: 2},
-	})
-	if err == nil || !strings.Contains(err.Error(), "node") {
-		t.Errorf("tiny witness budget not reported: %v", err)
-	}
-}
 
 func TestSolverBudgetSurfacesAsError(t *testing.T) {
 	// Σ1's refutation needs no branching (its LP relaxation is already
@@ -33,7 +19,7 @@ func TestSolverBudgetSurfacesAsError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LIPToSpec: %v", err)
 	}
-	_, err = Consistent(spec.DTD, spec.Sigma, &Options{
+	_, err = consistent(spec.DTD, spec.Sigma, &Options{
 		Solver:      ilp.Options{MaxNodes: 1},
 		SkipWitness: true,
 	})
@@ -46,7 +32,7 @@ func TestDiagnosePropagatesSolverBudget(t *testing.T) {
 	// Presolve decides the Σ1 checks without any search, so the budget can
 	// only trip — and the test can only exercise its propagation — on the
 	// raw branch-and-bound path.
-	_, err := Diagnose(dtd.Teachers(), constraint.Sigma1(), &Options{
+	_, err := diagnose(dtd.Teachers(), constraint.Sigma1(), &Options{
 		Solver: ilp.Options{MaxNodes: 1, DisablePresolve: true},
 	})
 	if !errors.Is(err, ilp.ErrNodeLimit) {
@@ -55,15 +41,15 @@ func TestDiagnosePropagatesSolverBudget(t *testing.T) {
 }
 
 func TestNilOptionsEverywhere(t *testing.T) {
-	// All entry points accept nil options.
-	if _, err := Consistent(dtd.Teachers(), nil, nil); err != nil {
-		t.Errorf("Consistent(nil opts): %v", err)
+	// Every Checker entry point accepts nil options and a nil context.
+	c, err := newChecker(dtd.Teachers())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Implies(dtd.Teachers(), nil, constraint.UnaryKey("teacher", "name"), nil); err != nil {
-		t.Errorf("Implies(nil opts): %v", err)
+	if _, err := c.ConsistentContext(nil, nil, nil); err != nil { //nolint:staticcheck // nil ctx is part of the contract
+		t.Errorf("ConsistentContext(nil opts): %v", err)
 	}
-	c, _ := NewChecker(dtd.Teachers())
-	if _, err := c.Consistent(nil, nil); err != nil {
-		t.Errorf("Checker.Consistent(nil opts): %v", err)
+	if _, err := c.ImpliesContext(nil, nil, constraint.UnaryKey("teacher", "name"), nil); err != nil { //nolint:staticcheck // nil ctx is part of the contract
+		t.Errorf("ImpliesContext(nil opts): %v", err)
 	}
 }

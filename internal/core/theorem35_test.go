@@ -25,7 +25,7 @@ func TestTheorem35KeysEquivalence(t *testing.T) {
 		// Build (and verify) witnesses on a sample of trials; the decision
 		// itself is the cheap linear path.
 		opt := &Options{SkipWitness: trial%5 != 0}
-		res, err := Consistent(d, keys, opt)
+		res, err := consistent(d, keys, opt)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, d)
 		}

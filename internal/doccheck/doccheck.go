@@ -13,6 +13,10 @@
 // sets that are resolved at end-of-document — which is also what lets a
 // foreign key reference an element that appears later in the document.
 //
+// The same checker validates an in-memory xmltree.Tree (RunTree): a walk
+// over the tree feeds the element, text and end steps the token loop
+// feeds, so trees and streams get one verdict and one Report.
+//
 // Tokens come from xmltree.Scanner as byte views. Building a Checker
 // interns the DTD's element and attribute names to dense symbols, so the
 // per-element path — start, end and text, marked //xic:hotpath — works on
@@ -51,10 +55,12 @@ type Violation struct {
 	// ranges over.
 	Path string
 	// Line is the 1-based source line of the reporting position; 0 for
-	// end-of-document verdicts with no single position.
+	// end-of-document verdicts with no single position, and for every
+	// violation RunTree reports (a tree has no source positions).
 	Line int
 	// Offset is the 0-based input offset just past the token that
-	// reported the violation; -1 for end-of-document verdicts.
+	// reported the violation; -1 for end-of-document verdicts, 0 for the
+	// other violations RunTree reports.
 	Offset int64
 	// Constraint is the violated constraint; nil for DTD-conformance
 	// violations.
@@ -70,7 +76,8 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s", v.Path, v.Msg)
 }
 
-// Report is the outcome of one streaming validation pass.
+// Report is the outcome of one validation pass, over a token stream (Run)
+// or over a tree (RunTree).
 type Report struct {
 	// Violations lists conformance and constraint violations in document
 	// order, with end-of-document verdicts last (ordered by the source
@@ -227,10 +234,67 @@ func (c *Checker) RunRetain(ctx context.Context, r io.Reader) (*Report, *Indexes
 }
 
 func (c *Checker) runPass(ctx context.Context, r io.Reader, retain bool) (*Report, *Indexes, error) {
+	rn, idxs := c.newRun(ctx, retain)
+	rn.sc = xmltree.NewScanner(r)
+	if err := rn.loop(ctx); err != nil {
+		return nil, nil, err
+	}
+	return rn.report, idxs, nil
+}
+
+// RunTree validates an in-memory tree with the checks Run applies to a
+// token stream, returning the same Report. Each text node of the tree is
+// one text step of its parent's content model: adjacent text nodes are
+// not coalesced, as a parser would coalesce adjacent character data, and
+// a text node carrying attributes or children is a violation. A tree has
+// no source positions, so its violations carry paths but Line 0 and
+// Offset 0 (end-of-document verdicts keep Offset -1). A nil tree or root
+// fails like an empty document, with an *xmltree.ParseError; context
+// cancellation is an error wrapping ctx.Err().
+func (c *Checker) RunTree(ctx context.Context, t *xmltree.Tree) (*Report, error) {
+	if t == nil || t.Root == nil {
+		return nil, &xmltree.ParseError{Msg: "no root element"}
+	}
+	rn, _ := c.newRun(ctx, false)
+	type open struct {
+		n    *xmltree.Node
+		next int
+	}
+	stack := []open{{n: t.Root}}
+	rn.startNode(t.Root)
+	for steps := 0; len(stack) > 0; steps++ {
+		if err := rn.canceled(ctx, steps); err != nil {
+			return nil, err
+		}
+		top := &stack[len(stack)-1]
+		if top.next == len(top.n.Children) {
+			stack = stack[:len(stack)-1]
+			if rn.end() {
+				rn.reportIncomplete()
+			}
+			continue
+		}
+		n := top.n.Children[top.next]
+		top.next++
+		if n.IsText() {
+			rn.textNode(n)
+			continue
+		}
+		rn.startNode(n)
+		stack = append(stack, open{n: n})
+	}
+	for _, f := range rn.finishers {
+		f.finish(rn)
+	}
+	return rn.report, nil
+}
+
+// newRun returns the per-document state of one pass, with fresh
+// constraint collectors; retain keeps their indexes complete.
+func (c *Checker) newRun(ctx context.Context, retain bool) (*run, *Indexes) {
 	nsym := len(c.types)
 	rn := &run{
 		c:      c,
-		sc:     xmltree.NewScanner(r),
 		report: &Report{},
 		max:    c.MaxViolations,
 		vals:   make([][]byte, c.maxAttrs),
@@ -245,10 +309,7 @@ func (c *Checker) runPass(ctx context.Context, r io.Reader, retain bool) (*Repor
 	}
 	var idxs *Indexes
 	rn.collectors, rn.finishers, idxs = c.newConstraintState(retain)
-	if err := rn.loop(ctx); err != nil {
-		return nil, nil, err
-	}
-	return rn.report, idxs, nil
+	return rn, idxs
 }
 
 // frame is the retained state of one open element.
@@ -263,10 +324,10 @@ type frame struct {
 	undeclared  map[string]int
 }
 
-// run is the per-document state of one streaming pass.
+// run is the per-document state of one pass.
 type run struct {
 	c      *Checker
-	sc     *xmltree.Scanner
+	sc     *xmltree.Scanner // nil when walking a tree, which has no positions
 	report *Report
 	max    int
 
@@ -279,8 +340,8 @@ type run struct {
 	have []uint32 // gen when the slot's attribute is present
 	kept []string // copies of the kept slots' values
 
-	line int // position of the most recent token
-	off  int64
+	line int   // position of the most recent token
+	off  int64 // in a tree, the ordinal of the current element instead
 
 	collectors [][]collector // by element symbol
 	finishers  []finisher
@@ -293,14 +354,22 @@ type run struct {
 	done <-chan struct{}
 }
 
+// canceled polls ctx every 1024 steps.
+func (rn *run) canceled(ctx context.Context, steps int) error {
+	if steps%1024 == 0 && rn.done != nil {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("doccheck: validation aborted after %d elements: %w", rn.report.Elements, err)
+		}
+	}
+	return nil
+}
+
 // loop drives the token stream to EOF.
 func (rn *run) loop(ctx context.Context) error {
 	sc := rn.sc
 	for tokens := 0; ; tokens++ {
-		if tokens%1024 == 0 && rn.done != nil {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("doccheck: validation aborted after %d elements: %w", rn.report.Elements, err)
-			}
+		if err := rn.canceled(ctx, tokens); err != nil {
+			return err
 		}
 		kind, err := sc.Next()
 		if err != nil {
@@ -342,7 +411,17 @@ func (rn *run) startElement(name []byte, attrs []xmltree.Attr) {
 	sym := rn.c.syms.lookup(-1, name)
 	rn.reserve(sym)
 	if problems := rn.start(sym, attrs); problems != 0 {
-		rn.reportStart(problems, name, attrs)
+		var extra []string
+		if sym < 0 {
+			rn.frames[rn.depth-1].label = string(name)
+		} else if problems&badAttrs != 0 {
+			for _, a := range attrs {
+				if rn.c.syms.lookup(sym, a.Name) < 0 {
+					extra = append(extra, string(a.Name))
+				}
+			}
+		}
+		rn.reportStart(problems, extra)
 	}
 	if sym < 0 || len(rn.collectors[sym]) == 0 {
 		return
@@ -353,6 +432,66 @@ func (rn *run) startElement(name []byte, attrs []xmltree.Attr) {
 		}
 	}
 	rn.collect(sym)
+}
+
+// startNode is startElement for an element node of a tree, whose
+// attribute values are already strings.
+func (rn *run) startNode(n *xmltree.Node) {
+	rn.off = int64(rn.report.Elements)
+	sym := rn.c.symbol(n.Label)
+	rn.reserve(sym)
+	problems := rn.open(sym)
+	if sym >= 0 && !rn.bindNode(sym, n.Attrs) {
+		problems |= badAttrs
+	}
+	if problems != 0 {
+		var extra []string
+		if sym < 0 {
+			rn.frames[rn.depth-1].label = n.Label
+		} else if problems&badAttrs != 0 {
+			for a := range n.Attrs {
+				if rn.c.syms.lookup(sym, []byte(a)) < 0 {
+					extra = append(extra, a)
+				}
+			}
+		}
+		rn.reportStart(problems, extra)
+	}
+	if sym >= 0 && len(rn.collectors[sym]) > 0 {
+		rn.collect(sym)
+	}
+}
+
+// bindNode is bind over a tree node's attribute map. It stores every
+// bound value as kept: the strings need no copy.
+func (rn *run) bindNode(sym int32, attrs map[string]string) bool {
+	rn.nextGen()
+	exact := true
+	bound := 0
+	for a, v := range attrs {
+		slot := rn.c.syms.lookup(sym, []byte(a))
+		if slot < 0 {
+			exact = false
+			continue
+		}
+		rn.kept[slot] = v
+		rn.have[slot] = rn.gen
+		bound++
+	}
+	return exact && bound == len(rn.c.types[sym].decl.Attrs)
+}
+
+// textNode is one text step for a text node of a tree. Tree text nodes
+// are never coalesced, and they carry no attributes or children.
+func (rn *run) textNode(n *xmltree.Node) {
+	rn.frames[rn.depth-1].lastWasText = false
+	if rn.text() {
+		rn.reportText()
+	}
+	if (len(n.Attrs) > 0 || len(n.Children) > 0) && !rn.drop() {
+		p := rn.pathOf(rn.depth)
+		rn.violate(nil, p, "text node under %s carries attributes or children", p)
+	}
 }
 
 // reserve grows the frame stack for one more element and makes sure an
@@ -373,13 +512,24 @@ func (rn *run) reserve(sym int32) {
 	}
 }
 
-// start opens an element of symbol sym: it counts it among its parent's
-// children, steps the parent's content automaton, pushes its frame and
-// binds its attributes to slots. It returns the problems found, for the
-// cold path to report.
+// start opens an element of symbol sym and binds its attributes to slots.
+// It returns the problems found, for the cold path to report.
 //
 //xic:hotpath
 func (rn *run) start(sym int32, attrs []xmltree.Attr) uint8 {
+	problems := rn.open(sym)
+	if sym >= 0 && !rn.bind(sym, attrs) {
+		problems |= badAttrs
+	}
+	return problems
+}
+
+// open counts an element of symbol sym among its parent's children, steps
+// the parent's content automaton and pushes the element's frame. It
+// returns the problems found.
+//
+//xic:hotpath
+func (rn *run) open(sym int32) uint8 {
 	c := rn.c
 	var problems uint8
 	index := 0
@@ -405,9 +555,6 @@ func (rn *run) start(sym int32, attrs []xmltree.Attr) uint8 {
 	rn.report.Elements++
 	if sym < 0 {
 		return problems | undeclared
-	}
-	if !rn.bind(sym, attrs) {
-		problems |= badAttrs
 	}
 	return problems
 }
@@ -442,11 +589,7 @@ func (rn *run) push(sym int32, index int) {
 //
 //xic:hotpath
 func (rn *run) bind(sym int32, attrs []xmltree.Attr) bool {
-	rn.gen++
-	if rn.gen == 0 {
-		clear(rn.have)
-		rn.gen = 1
-	}
+	rn.nextGen()
 	exact := true
 	bound := 0
 	for i := range attrs {
@@ -460,6 +603,18 @@ func (rn *run) bind(sym int32, attrs []xmltree.Attr) bool {
 		bound++
 	}
 	return exact && bound == len(rn.c.types[sym].decl.Attrs)
+}
+
+// nextGen starts a new element's attribute generation, so no slot of the
+// previous element reads as present.
+//
+//xic:hotpath
+func (rn *run) nextGen() {
+	rn.gen++
+	if rn.gen == 0 {
+		clear(rn.have)
+		rn.gen = 1
+	}
 }
 
 // collect feeds the current element to the constraint collectors of its
@@ -510,13 +665,14 @@ func (rn *run) text() bool {
 
 // ---- violation reports (cold) -------------------------------------------
 
-// reportStart describes the problems start found with the element just
-// pushed, in document order: the root type, the parent's content model,
-// the element's own declaration and its attributes.
-func (rn *run) reportStart(problems uint8, name []byte, attrs []xmltree.Attr) {
+// reportStart describes the problems open and bind found with the element
+// just pushed, in document order: the root type, the parent's content
+// model, the element's own declaration and its attributes. The caller has
+// set an undeclared element's label; extra lists its undeclared
+// attributes, which are reported in name order.
+func (rn *run) reportStart(problems uint8, extra []string) {
 	f := &rn.frames[rn.depth-1]
 	if problems&undeclared != 0 {
-		f.label = string(name)
 		if rn.depth > 1 {
 			parent := &rn.frames[rn.depth-2]
 			if parent.undeclared == nil {
@@ -551,10 +707,11 @@ func (rn *run) reportStart(problems uint8, name []byte, attrs []xmltree.Attr) {
 			rn.violate(nil, p, "element %s lacks required attribute %q", p, want)
 		}
 	}
-	for _, a := range attrs {
-		if rn.c.syms.lookup(f.sym, a.Name) < 0 && !rn.drop() {
+	sort.Strings(extra)
+	for _, a := range extra {
+		if !rn.drop() {
 			p := rn.pathOf(rn.depth)
-			rn.violate(nil, p, "element %s has undeclared attribute %q", p, a.Name)
+			rn.violate(nil, p, "element %s has undeclared attribute %q", p, a)
 		}
 	}
 }
@@ -624,8 +781,18 @@ func (rn *run) pathOf(depth int) string {
 // violate appends a violation at the current stream position; callers
 // have checked drop.
 func (rn *run) violate(c constraint.Constraint, path, format string, args ...any) {
+	line, off := rn.at(SrcPos{Line: rn.line, Off: rn.off})
 	rn.report.Violations = append(rn.report.Violations,
-		Violation{Path: path, Line: rn.line, Offset: rn.off, Constraint: c, Msg: fmt.Sprintf(format, args...)})
+		Violation{Path: path, Line: line, Offset: off, Constraint: c, Msg: fmt.Sprintf(format, args...)})
+}
+
+// at returns the line and offset a violation reports for a position:
+// none when walking a tree, whose positions are element ordinals.
+func (rn *run) at(p SrcPos) (int, int64) {
+	if rn.sc == nil {
+		return 0, 0
+	}
+	return p.Line, p.Off
 }
 
 // add appends an end-of-document violation, enforcing the report bound.
@@ -752,19 +919,19 @@ func (k *keyCol) element(rn *run) {
 		return // no tuple, cannot collide (constraint.Satisfied semantics)
 	}
 	t := tupleKey(k.vals)
-	if first, dup := k.idx.Add(t, SrcPos{Line: rn.line, Off: rn.off}); dup {
-		k.reportDup(rn, first) //xic:ignore hotalloc violation path: fires once per duplicate, steady state is valid documents
+	if _, dup := k.idx.Add(t, SrcPos{Line: rn.line, Off: rn.off}); dup {
+		k.reportDup(rn) //xic:ignore hotalloc violation path: fires once per duplicate, steady state is valid documents
 	}
 }
 
 // reportDup is the cold duplicate-key violation path.
-func (k *keyCol) reportDup(rn *run, first SrcPos) {
+func (k *keyCol) reportDup(rn *run) {
 	if rn.drop() {
 		return
 	}
 	rn.violate(k.c, rn.pathOf(rn.depth),
-		"duplicate key: this %s agrees with the %s at line %d on (%s)",
-		k.idx.Type, k.idx.Type, first.Line, strings.Join(k.idx.Attrs, ", "))
+		"duplicate key: this %s agrees with an earlier %s on (%s)",
+		k.idx.Type, k.idx.Type, strings.Join(k.idx.Attrs, ", "))
 }
 
 // notKeyCol enforces the negation τ.l ↛ τ over a KeyIndex: some
@@ -887,7 +1054,8 @@ func (in *inclCol) finish(rn *run) {
 		if rn.drop() {
 			continue
 		}
-		rn.report.Violations = append(rn.report.Violations, Violation{Path: in.idx.ChildType, Line: pos.Line, Offset: pos.Off, Constraint: in.c,
+		line, off := rn.at(pos)
+		rn.report.Violations = append(rn.report.Violations, Violation{Path: in.idx.ChildType, Line: line, Offset: off, Constraint: in.c,
 			Msg: fmt.Sprintf("(%s) value of this %s matches no %s element",
 				strings.Join(in.idx.ChildAttrs, ", "), in.idx.ChildType, in.idx.ParentType)})
 	}

@@ -72,8 +72,10 @@ func TestStreamKeyViolation(t *testing.T) {
 	if v.Path != "db/rec[1]" {
 		t.Errorf("violation path = %q, want db/rec[1]", v.Path)
 	}
-	if !strings.Contains(v.Msg, "line 2") {
-		t.Errorf("violation should name the first occurrence's line: %q", v.Msg)
+	// The message is the same on a tree, which has no lines: it names the
+	// earlier occurrence without its position.
+	if v.Msg != "duplicate key: this rec agrees with an earlier rec on (id)" {
+		t.Errorf("violation message = %q", v.Msg)
 	}
 }
 
@@ -227,34 +229,54 @@ func TestStreamViolationCap(t *testing.T) {
 // verdicts computes the tree-path and stream-path verdicts for one
 // document. parseOK reports whether the document was checkable at all;
 // valid is only meaningful when parseOK.
-func verdicts(t *testing.T, c *Checker, doc string) (treeParse, treeValid, streamParse, streamValid bool) {
-	t.Helper()
-	tr, err := xmltree.Parse(strings.NewReader(doc))
-	if err == nil {
-		treeParse = true
-		if err := xmltree.NewValidator(c.d).Validate(tr); err == nil {
-			ok, _ := constraint.SatisfiedAll(tr, c.sigma)
-			treeValid = ok
-		}
+// oracleValid is the tree pipeline's verdict: DTD conformance by
+// xmltree.Validator, then every constraint by constraint.SatisfiedAll.
+func oracleValid(c *Checker, tr *xmltree.Tree) bool {
+	if xmltree.NewValidator(c.d).Validate(tr) != nil {
+		return false
 	}
-	rep, err := c.Run(context.Background(), strings.NewReader(doc))
-	if err == nil {
-		streamParse = true
-		streamValid = rep.OK()
-	}
-	return
+	ok, _ := constraint.SatisfiedAll(tr, c.sigma)
+	return ok
 }
 
-// checkAgreement asserts the streaming verdict equals the tree verdict.
+// sameReports fails unless two reports agree on OK, Elements and every
+// violation's constraint, path and message.
+func sameReports(t *testing.T, tree, stream *Report, doc string) {
+	t.Helper()
+	if tree.OK() != stream.OK() || tree.Elements != stream.Elements || len(tree.Violations) != len(stream.Violations) {
+		t.Fatalf("reports differ: RunTree ok=%v elements=%d %v, Run ok=%v elements=%d %v on:\n%s",
+			tree.OK(), tree.Elements, tree.Violations, stream.OK(), stream.Elements, stream.Violations, doc)
+	}
+	for i, tv := range tree.Violations {
+		sv := stream.Violations[i]
+		if fmt.Sprint(tv.Constraint) != fmt.Sprint(sv.Constraint) || tv.Path != sv.Path || tv.Msg != sv.Msg {
+			t.Fatalf("violation %d differs: RunTree %v, Run %v on:\n%s", i, tv, sv, doc)
+		}
+	}
+}
+
+// checkAgreement asserts three sides agree on a document: Run on its
+// bytes, RunTree on its parsed tree, and the tree oracle. The parse
+// verdicts and the validity verdicts must match, and the two Reports must
+// be the same but for source positions.
 func checkAgreement(t *testing.T, c *Checker, doc string) {
 	t.Helper()
-	treeParse, treeValid, streamParse, streamValid := verdicts(t, c, doc)
-	if treeParse != streamParse {
-		t.Fatalf("parse verdicts differ: tree=%v stream=%v on:\n%s", treeParse, streamParse, doc)
+	tr, treeErr := xmltree.Parse(strings.NewReader(doc))
+	rep, streamErr := c.Run(context.Background(), strings.NewReader(doc))
+	if (treeErr == nil) != (streamErr == nil) {
+		t.Fatalf("parse verdicts differ: tree=%v stream=%v on:\n%s", treeErr, streamErr, doc)
 	}
-	if treeParse && treeValid != streamValid {
-		t.Fatalf("validity verdicts differ: tree=%v stream=%v on:\n%s", treeValid, streamValid, doc)
+	if treeErr != nil {
+		return
 	}
+	if oracle := oracleValid(c, tr); oracle != rep.OK() {
+		t.Fatalf("validity verdicts differ: tree=%v stream=%v on:\n%s", oracle, rep.OK(), doc)
+	}
+	fromTree, err := c.RunTree(context.Background(), tr)
+	if err != nil {
+		t.Fatalf("RunTree: %v on:\n%s", err, doc)
+	}
+	sameReports(t, fromTree, rep, doc)
 }
 
 // TestStreamMatchesTreeOnFigure1 pins the paper's own example.

@@ -242,11 +242,6 @@ func (in *InclusionIndex) HasParent(t string) bool { return in.parents[t] > 0 }
 //xic:hotpath
 func (in *InclusionIndex) ChildCount(t string) int { return in.children[t].count }
 
-// ParentCount returns the parent-side occurrence refcount of tuple t.
-//
-//xic:hotpath
-func (in *InclusionIndex) ParentCount(t string) int { return in.parents[t] }
-
 // EachUnmatched calls f for every distinct child tuple with no parent
 // occurrence, in unspecified order, with the tuple's first recorded
 // position.

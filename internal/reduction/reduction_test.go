@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -220,7 +221,7 @@ func TestLemma33KeyImplicationRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		imp, err := core.Implies(inst.DTD, inst.Sigma, inst.Phi, &core.Options{SkipWitness: true})
+		imp, err := implies(inst.DTD, inst.Sigma, inst.Phi, &core.Options{SkipWitness: true})
 		if err != nil {
 			t.Fatalf("case %d: Implies: %v", i, err)
 		}
@@ -246,7 +247,7 @@ func TestLemma33InclusionImplicationRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		imp, err := core.Implies(inst.DTD, inst.Sigma, inst.Phi, &core.Options{SkipWitness: true})
+		imp, err := implies(inst.DTD, inst.Sigma, inst.Phi, &core.Options{SkipWitness: true})
 		if err != nil {
 			t.Fatalf("case %d: Implies: %v", i, err)
 		}
@@ -323,7 +324,7 @@ func TestLIPToSpecRoundTrip(t *testing.T) {
 		if err := constraint.ValidateSet(spec.DTD, spec.Sigma); err != nil {
 			t.Fatalf("spec constraints invalid: %v", err)
 		}
-		res, err := core.Consistent(spec.DTD, spec.Sigma, nil)
+		res, err := consistent(spec.DTD, spec.Sigma, nil)
 		if err != nil {
 			t.Fatalf("Consistent on reduction of %v: %v", a, err)
 		}
@@ -348,7 +349,7 @@ func TestLIPToSpecKnownInstances(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LIPToSpec: %v", err)
 	}
-	res, err := core.Consistent(spec.DTD, spec.Sigma, &core.Options{SkipWitness: true})
+	res, err := consistent(spec.DTD, spec.Sigma, &core.Options{SkipWitness: true})
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -362,7 +363,7 @@ func TestLIPToSpecKnownInstances(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LIPToSpec: %v", err)
 	}
-	res, err = core.Consistent(spec.DTD, spec.Sigma, nil)
+	res, err = consistent(spec.DTD, spec.Sigma, nil)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -389,7 +390,7 @@ func TestLIPToSpecValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("all-zero row: %v", err)
 	}
-	res, err := core.Consistent(spec.DTD, spec.Sigma, &core.Options{SkipWitness: true})
+	res, err := consistent(spec.DTD, spec.Sigma, &core.Options{SkipWitness: true})
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -442,4 +443,22 @@ func TestDependencyStrings(t *testing.T) {
 		}
 	}
 	_ = fmt.Sprintf("%v", deps)
+}
+
+// consistent decides one set on a fresh decision engine over d.
+func consistent(d *dtd.DTD, set []constraint.Constraint, opt *core.Options) (*core.Result, error) {
+	eng, err := core.NewEngine(d)
+	if err != nil {
+		return nil, err
+	}
+	return eng.NewChecker().ConsistentContext(context.Background(), set, opt)
+}
+
+// implies decides one implication on a fresh decision engine over d.
+func implies(d *dtd.DTD, sigma []constraint.Constraint, phi constraint.Constraint, opt *core.Options) (*core.Implication, error) {
+	eng, err := core.NewEngine(d)
+	if err != nil {
+		return nil, err
+	}
+	return eng.NewChecker().ImpliesContext(context.Background(), sigma, phi, opt)
 }

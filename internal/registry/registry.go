@@ -106,33 +106,15 @@ type TierStats struct {
 	Size int
 }
 
-// Stats is a point-in-time snapshot of registry counters. The top-level
-// fields describe the spec tier — the request-facing cache, and the
-// compatible view of the pre-two-tier registry — while Schemas and Specs
-// carry the full per-tier breakdown.
+// Stats is a point-in-time snapshot of registry counters, one block per
+// tier.
 type Stats struct {
-	// Hits counts Compile, BindByID and Get calls answered from the spec
-	// tier.
-	Hits uint64
-	// Misses counts calls that had to bind (and possibly compile), and
-	// Get calls for unknown ids.
-	Misses uint64
-	// Evictions counts spec-tier entries dropped to keep the registry
-	// within bounds.
-	Evictions uint64
-	// CompileErrors counts Compile/BindByID calls that failed (one per
-	// failed call, wherever the failure arose); failures are never cached.
-	CompileErrors uint64
-	// CompileTime is the total wall time spent compiling schemas and
-	// binding constraint sets.
-	CompileTime time.Duration
-	// Specs is the current number of cached spec-tier entries.
-	Specs int
-
 	// Schemas is the schema tier (DTD hash → compiled Schema).
 	Schemas TierStats
-	// SpecTier is the spec tier (fused hash → bound Spec), the same
-	// counters the top-level fields summarise.
+	// SpecTier is the spec tier (fused hash → bound Spec), the
+	// request-facing cache: its hits and misses count Compile, BindByID
+	// and Get calls, and its errors count failed Compile/BindByID calls,
+	// wherever the failure arose.
 	SpecTier TierStats
 }
 
@@ -427,13 +409,6 @@ func (r *Registry) Len() int {
 	return r.specs.order.Len()
 }
 
-// SchemasLen returns the number of cached schemas.
-func (r *Registry) SchemasLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.schemas.order.Len()
-}
-
 // Stats returns a snapshot of the counters across both tiers.
 func (r *Registry) Stats() Stats {
 	r.mu.Lock()
@@ -442,16 +417,7 @@ func (r *Registry) Stats() Stats {
 	schemas.Size = r.schemas.order.Len()
 	specs := r.specs.stats
 	specs.Size = r.specs.order.Len()
-	return Stats{
-		Hits:          specs.Hits,
-		Misses:        specs.Misses,
-		Evictions:     specs.Evictions,
-		CompileErrors: specs.Errors,
-		CompileTime:   specs.Time + schemas.Time,
-		Specs:         specs.Size,
-		Schemas:       schemas,
-		SpecTier:      specs,
-	}
+	return Stats{Schemas: schemas, SpecTier: specs}
 }
 
 // abbrev shortens a fingerprint for error messages.

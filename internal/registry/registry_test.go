@@ -60,7 +60,7 @@ func TestCompileCachesByContent(t *testing.T) {
 		t.Error("Get by id did not return the cached Spec")
 	}
 	st := r.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Specs != 1 {
+	if st.SpecTier.Hits != 2 || st.SpecTier.Misses != 1 || st.SpecTier.Size != 1 {
 		t.Errorf("stats = %+v, want 2 hits, 1 miss, 1 spec", st)
 	}
 }
@@ -114,8 +114,8 @@ func TestLRUEviction(t *testing.T) {
 			t.Errorf("expected entry %s cached", id[:8])
 		}
 	}
-	if st := r.Stats(); st.Evictions != 2 {
-		t.Errorf("evictions = %d, want 2", st.Evictions)
+	if st := r.Stats(); st.SpecTier.Evictions != 2 {
+		t.Errorf("evictions = %d, want 2", st.SpecTier.Evictions)
 	}
 }
 
@@ -132,8 +132,8 @@ func TestCompileErrorsNotCached(t *testing.T) {
 	if r.Len() != 0 {
 		t.Error("failed compilation was cached")
 	}
-	if st := r.Stats(); st.CompileErrors != 1 {
-		t.Errorf("compile errors = %d, want 1", st.CompileErrors)
+	if st := r.Stats(); st.SpecTier.Errors != 1 {
+		t.Errorf("compile errors = %d, want 1", st.SpecTier.Errors)
 	}
 	// And the retry fails identically rather than hitting a poisoned entry.
 	if _, cached, err := r.Compile("<!ELEMENT", ""); err == nil || cached {
@@ -272,7 +272,7 @@ func TestBindByID(t *testing.T) {
 	if schema, ok := r.GetSchema(se.ID); !ok || schema != se.Schema {
 		t.Error("GetSchema did not return the cached schema")
 	}
-	if len(r.SchemaEntries()) != 1 || r.SchemasLen() != 1 {
+	if len(r.SchemaEntries()) != 1 {
 		t.Error("schema tier snapshot inconsistent")
 	}
 }

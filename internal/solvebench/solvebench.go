@@ -6,6 +6,7 @@
 package solvebench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -36,14 +37,14 @@ type Case struct {
 func Corpus(full bool) ([]Case, error) {
 	var cases []Case
 	add := func(name string, d *dtd.DTD, set []constraint.Constraint) error {
-		checker, err := core.NewChecker(d)
+		eng, err := core.NewEngine(d)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		if err := checker.Precompile(); err != nil {
+		if err := eng.Precompile(); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		cases = append(cases, Case{Name: name, Checker: checker, Set: set})
+		cases = append(cases, Case{Name: name, Checker: eng.NewChecker(), Set: set})
 		return nil
 	}
 	blocks := []int{2, 4}
@@ -103,8 +104,8 @@ func FastOptions(fastOn bool) *core.Options {
 }
 
 // Run decides the case once under opt, returning the verdict.
-func (c Case) Run(opt *core.Options) (bool, error) {
-	res, err := c.Checker.Consistent(c.Set, opt)
+func (c Case) Run(ctx context.Context, opt *core.Options) (bool, error) {
+	res, err := c.Checker.ConsistentContext(ctx, c.Set, opt)
 	if err != nil {
 		return false, fmt.Errorf("%s: %w", c.Name, err)
 	}

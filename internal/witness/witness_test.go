@@ -2,6 +2,7 @@ package witness
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"xic/internal/cardinality"
@@ -35,6 +36,27 @@ func buildFor(t *testing.T, d *dtd.DTD, src string) *xmltree.Tree {
 		t.Fatalf("Build: %v\nsystem:\n%s", err, enc.Sys)
 	}
 	return tree
+}
+
+// TestWitnessNodeBudget: D1's minimal witness needs 8 nodes (teachers,
+// teacher, teach, research, 2 subjects, 2 texts…); a budget of 2 must fail
+// loudly rather than truncate.
+func TestWitnessNodeBudget(t *testing.T) {
+	enc, err := cardinality.EncodeDTD(dtd.Simplify(dtd.Teachers()))
+	if err != nil {
+		t.Fatalf("EncodeDTD: %v", err)
+	}
+	if err := enc.AddUnary(nil); err != nil {
+		t.Fatalf("AddUnary: %v", err)
+	}
+	res, err := ilp.Solve(context.Background(), enc.Sys, nil)
+	if err != nil || !res.Feasible {
+		t.Fatalf("ilp.Solve: feasible=%v err=%v", res != nil && res.Feasible, err)
+	}
+	_, err = Build(context.Background(), enc, nil, res.Values, &Limits{MaxNodes: 2})
+	if err == nil || !strings.Contains(err.Error(), "node") {
+		t.Errorf("tiny witness budget not reported: %v", err)
+	}
 }
 
 func TestWitnessForTeachersKeys(t *testing.T) {

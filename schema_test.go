@@ -31,7 +31,7 @@ func TestSchemaBindFlow(t *testing.T) {
 	if sigma.Schema() != schema {
 		t.Error("bound Spec does not report its Schema")
 	}
-	res, err := sigma.WithOptions(Options{SkipWitness: true}).Consistent(ctx)
+	res, err := sigma.WithSolveOptions(WithSkipWitness()).Consistent(ctx)
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestSchemaBindConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				res, err := spec.WithOptions(Options{SkipWitness: true}).Consistent(ctx)
+				res, err := spec.WithSolveOptions(WithSkipWitness()).Consistent(ctx)
 				if err != nil {
 					errs <- err
 					return
@@ -121,7 +121,7 @@ func TestSchemaBindConcurrent(t *testing.T) {
 				errs <- err
 				return
 			}
-			res, err := spec.WithOptions(Options{SkipWitness: true}).Consistent(ctx)
+			res, err := spec.WithSolveOptions(WithSkipWitness()).Consistent(ctx)
 			if err != nil {
 				errs <- err
 				return
@@ -138,7 +138,7 @@ func TestSchemaBindConcurrent(t *testing.T) {
 	}
 }
 
-// TestSpecStatsSharingAudit is the WithOptions/WithParallelism copy audit:
+// TestSpecStatsSharingAudit is the WithSolveOptions copy audit:
 // derived views deliberately share their parent's solver counters (they
 // are views of one engine binding, recorded via atomics, so concurrent
 // parent/child use is race-free and no update is lost), while separately
@@ -153,8 +153,8 @@ func TestSpecStatsSharingAudit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BindStrings: %v", err)
 	}
-	child := parent.WithOptions(Options{SkipWitness: true})
-	pooled := parent.WithParallelism(2)
+	child := parent.WithSolveOptions(WithSkipWitness())
+	pooled := parent.WithSolveOptions(WithSolverParallelism(2))
 
 	ctx := context.Background()
 	const rounds = 4
@@ -164,7 +164,7 @@ func TestSpecStatsSharingAudit(t *testing.T) {
 		go func(s *Spec) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := s.WithOptions(Options{SkipWitness: true}).Consistent(ctx); err != nil {
+				if _, err := s.WithSolveOptions(WithSkipWitness()).Consistent(ctx); err != nil {
 					t.Error(err)
 					return
 				}
@@ -272,7 +272,7 @@ func TestImplicationMemo(t *testing.T) {
 	}
 
 	// Different options (witness handling) key separate entries.
-	skipping := spec.WithOptions(Options{SkipWitness: true})
+	skipping := spec.WithSolveOptions(WithSkipWitness())
 	skipped, err := skipping.Implies(ctx, notImplied)
 	if err != nil {
 		t.Fatalf("Implies: %v", err)

@@ -6,9 +6,8 @@ import "xic/internal/ilp"
 // SolveOptions.MaxNodes is zero.
 const DefaultMaxNodes = ilp.DefaultMaxNodes
 
-// SolveOptions is the one knob set for the NP decision procedures,
-// replacing the scattered Options / Spec.WithOptions / Spec.WithParallelism
-// trio. A zero SolveOptions is the serving default: presolve on, int64 fast
+// SolveOptions is the one knob set for the NP decision procedures. A zero
+// SolveOptions is the serving default: presolve on, int64 fast
 // tableau on, serial branch-and-bound, witnesses built, DefaultMaxNodes
 // budget. Values are applied to a Spec with Spec.WithSolveOptions or
 // per call with Spec.ConsistentOpts / Spec.ImpliesOpts, normally through

@@ -10,11 +10,10 @@ import (
 	"runtime"
 	"sync"
 
-	"xic/internal/constraint"
 	"xic/internal/core"
 	"xic/internal/doccheck"
 	"xic/internal/docsession"
-	"xic/internal/xmltree"
+	"xic/internal/ilp"
 )
 
 // Spec is a compiled XML specification: a DTD together with a set of
@@ -41,12 +40,10 @@ type Spec struct {
 	class  Class
 	consFP string // fingerprint of the canonical bound set; implication-cache key part
 
-	eng       *core.Checker
-	validator *xmltree.Validator
-	stream    *doccheck.Checker
+	eng    *core.Checker
+	stream *doccheck.Checker
 
-	opt Options
-	par int // ConsistentAll/ImpliesAll worker bound; 0 = GOMAXPROCS
+	opt SolveOptions
 }
 
 // Compile builds a Spec from a DTD and a constraint set. It is the
@@ -165,15 +162,7 @@ func (s *Spec) Class() Class { return s.class }
 // flat value. Zero fields mean their documented defaults (MaxNodes 0 =
 // DefaultMaxNodes, SolverParallelism 0 = serial search / GOMAXPROCS
 // batches).
-func (s *Spec) SolveOptions() SolveOptions {
-	return SolveOptions{
-		MaxNodes:           s.opt.Solver.MaxNodes,
-		SolverParallelism:  s.par,
-		DisablePresolve:    s.opt.Solver.DisablePresolve,
-		DisableFastTableau: s.opt.Solver.DisableFastTableau,
-		SkipWitness:        s.opt.SkipWitness,
-	}
-}
+func (s *Spec) SolveOptions() SolveOptions { return s.opt }
 
 // WithSolveOptions returns a Spec sharing this one's compiled state with
 // the given tweaks applied on top of its current SolveOptions. The
@@ -185,60 +174,31 @@ func (s *Spec) SolveOptions() SolveOptions {
 // For a single differently-tuned call, use ConsistentOpts or ImpliesOpts
 // instead.
 func (s *Spec) WithSolveOptions(opts ...SolveOption) *Spec {
-	so := s.SolveOptions()
+	out := *s
 	for _, apply := range opts {
 		if apply != nil {
-			apply(&so)
+			apply(&out.opt)
 		}
 	}
-	co := s.opt
-	co.Solver.MaxNodes = so.MaxNodes
-	co.Solver.DisablePresolve = so.DisablePresolve
-	co.Solver.DisableFastTableau = so.DisableFastTableau
-	co.SkipWitness = so.SkipWitness
-	par := so.SolverParallelism
-	if par < 1 {
-		par = 0
+	if out.opt.SolverParallelism < 1 {
+		out.opt.SolverParallelism = 0
 	}
-	out := *s
-	out.opt = co
-	out.par = par
 	return &out
-}
-
-// WithOptions returns a Spec sharing this one's compiled state but using
-// opt for subsequent checks (solver budget, witness limits, witness
-// skipping). The receiver is unchanged.
-//
-// Deprecated: use WithSolveOptions, which covers the solver knobs in one
-// flat value; WithOptions remains only for the witness-size limits that
-// SolveOptions does not carry.
-func (s *Spec) WithOptions(opt Options) *Spec {
-	out := *s
-	out.opt = opt
-	return &out
-}
-
-// WithParallelism returns a Spec sharing this one's compiled state whose
-// ConsistentAll and ImpliesAll use at most n worker goroutines. n < 1
-// restores the default (runtime.GOMAXPROCS).
-//
-// Deprecated: use WithSolveOptions(WithSolverParallelism(n)), which bounds
-// the batch pool and the in-solver branch-and-bound workers together.
-func (s *Spec) WithParallelism(n int) *Spec {
-	return s.WithSolveOptions(WithSolverParallelism(n))
 }
 
 // engineOptions assembles the core.Options actually handed to the engine:
-// the stored options with the Spec's parallelism threaded into the solver,
-// so one knob (SolverParallelism) drives both the batch pool and the
-// branch-and-bound workers.
+// SolverParallelism bounds the branch-and-bound workers as well as the
+// batch pool.
 func (s *Spec) engineOptions() core.Options {
-	co := s.opt
-	if s.par > 0 {
-		co.Solver.Parallelism = s.par
+	return core.Options{
+		Solver: ilp.Options{
+			MaxNodes:           s.opt.MaxNodes,
+			Parallelism:        s.opt.SolverParallelism,
+			DisablePresolve:    s.opt.DisablePresolve,
+			DisableFastTableau: s.opt.DisableFastTableau,
+		},
+		SkipWitness: s.opt.SkipWitness,
 	}
-	return co
 }
 
 // ConsistentDTD reports whether any finite document at all conforms to the
@@ -249,21 +209,19 @@ func (s *Spec) ConsistentDTD() bool { return s.d.HasValidTree() }
 // how many ILP-oracle calls its checks have made, how many were answered
 // by the presolve layer alone or by the no-branching fast path, and how
 // much presolve shrank the systems that did reach branch-and-bound. The
-// counters are shared across WithOptions/WithParallelism views of one
-// compiled engine and are safe to read concurrently; cmd/xicd aggregates
+// counters are shared across WithSolveOptions views of one compiled
+// engine and are safe to read concurrently; cmd/xicd aggregates
 // them across its spec registry under /debug/vars.
 func (s *Spec) SolveStats() SolveStats { return s.eng.SolveStats() }
 
 // Consistent decides whether some finite document conforms to the DTD and
 // satisfies every compiled constraint, returning a verified witness
-// document on success (unless Options.SkipWitness is set). Keys-only sets
-// decide in linear time; unary sets with foreign keys, inclusions or
+// document on success (unless SolveOptions.SkipWitness is set). Keys-only
+// sets decide in linear time; unary sets with foreign keys, inclusions or
 // negations pay the NP price of Theorems 4.7/5.1, bounded by the context:
 // cancellation returns an error matching ErrCanceled.
 func (s *Spec) Consistent(ctx context.Context) (*Result, error) {
-	co := s.engineOptions()
-	res, err := s.eng.ConsistentContext(ctx, s.sigma, &co)
-	return res, wrapSolveError(err)
+	return s.ConsistentWith(ctx)
 }
 
 // ConsistentOpts is Consistent with per-call option tweaks layered on top
@@ -293,16 +251,16 @@ func (s *Spec) ConsistentWith(ctx context.Context, extra ...Constraint) (*Result
 // returns an error matching ErrCanceled.
 //
 // Settled verdicts are memoized on the Schema, keyed by the bound set's
-// fingerprint, the effective Options and phi, so repeated implication
+// fingerprint, the effective SolveOptions and phi, so repeated implication
 // queries against a stable schema — from this Spec or any other Spec
 // binding an identical set — are pure lookups. Errors are never cached,
 // and memoized counterexamples are private copies.
 func (s *Spec) Implies(ctx context.Context, phi Constraint) (*Implication, error) {
-	co := s.engineOptions()
-	key := s.consFP + "\x00" + optionsKey(&co) + "\x00" + phi.String()
+	key := s.consFP + "\x00" + optionsKey(s.opt) + "\x00" + phi.String()
 	if imp, ok := s.schema.memo.get(key); ok {
 		return imp, nil
 	}
+	co := s.engineOptions()
 	imp, err := s.eng.ImpliesContext(ctx, s.sigma, phi, &co)
 	if err != nil {
 		return nil, wrapSolveError(err)
@@ -345,34 +303,23 @@ func (s *Spec) Diagnose(ctx context.Context) (*Diagnosis, error) {
 // for every class — including the multi-attribute classes whose static
 // problem is undecidable.
 //
-// The signature mirrors ValidateStream: the context bounds the work, with
-// the conformance walk checking it every few thousand nodes and the
-// constraint pass checking it between constraints, so cancelling aborts
-// validation of even a huge in-memory tree with an error matching both
-// ErrCanceled and the context's own error. A nil context means no bound.
-func (s *Spec) Validate(ctx context.Context, doc *Tree) error {
+// Validate runs the checker ValidateStream runs, walking the tree instead
+// of a token stream, and returns the same Report: OK answers the
+// validation question and the violations carry element paths (a tree has
+// no source lines or offsets, so those are 0). Each text node is one text
+// child, where a parser would coalesce adjacent character data. A nil tree
+// or root is a *ParseError, like an empty document. Cancelling the context
+// aborts the walk with an error matching both ErrCanceled and the
+// context's own error; a nil context means no bound.
+func (s *Spec) Validate(ctx context.Context, doc *Tree) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := s.validator.ValidateContext(ctx, doc); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			return fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
-		//xic:ignore errtaxonomy conformance failures are the documented stringly result of dynamic validation, matching the deprecated ValidateDocument
-		return err
+	rep, err := s.stream.RunTree(ctx, doc)
+	if err != nil {
+		return nil, wrapRunError(err)
 	}
-	done := ctx.Done()
-	for _, c := range s.sigma {
-		select {
-		case <-done:
-			return fmt.Errorf("%w: validation aborted: %w", ErrCanceled, ctx.Err())
-		default:
-		}
-		if !constraint.Satisfied(doc, c) {
-			return &ViolationError{Violated: c}
-		}
-	}
-	return nil
+	return rep, nil
 }
 
 // ValidateStream checks one document in a single SAX-style pass over r:
@@ -384,25 +331,30 @@ func (s *Spec) Validate(ctx context.Context, doc *Tree) error {
 // and 5.5): foreign keys may reference elements appearing later in the
 // stream, because reference sets are resolved at end-of-document.
 //
-// The verdict matches Validate on ParseDocument of the same bytes: a
-// well-formed document yields a Report (whose OK answers the validation
-// question and whose Violations carry element paths, lines and byte
-// offsets), while unparseable documents — syntax errors, multiple roots,
-// colliding attribute names — yield a *ParseError. Cancelling the context
-// aborts the pass with an error matching ErrCanceled. A Spec is immutable,
-// so any number of ValidateStream calls may run concurrently.
+// The Report matches Validate on ParseDocument of the same bytes, except
+// that violations also carry source lines and byte offsets. Unparseable
+// documents — syntax errors, multiple roots, colliding attribute names —
+// yield a *ParseError. Cancelling the context aborts the pass with an
+// error matching ErrCanceled. A Spec is immutable, so any number of
+// ValidateStream calls may run concurrently.
 func (s *Spec) ValidateStream(ctx context.Context, r io.Reader) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	rep, err := s.stream.Run(ctx, r)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
-		return nil, wrapDocumentError(err)
+		return nil, wrapRunError(err)
 	}
 	return rep, nil
+}
+
+// wrapRunError lifts a document checker's error into the taxonomy:
+// cancellation matches ErrCanceled, document errors become *ParseError.
+func wrapRunError(err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("%w: %w", ErrCanceled, err)
+	}
+	return wrapDocumentError(err)
 }
 
 // OpenSession ingests one document from r — a single streaming validation
@@ -421,16 +373,13 @@ func (s *Spec) OpenSession(ctx context.Context, r io.Reader) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sess, err := docsession.Open(ctx, s.stream, s.validator, r)
+	sess, err := docsession.Open(ctx, s.stream, s.schema.validator, r)
 	if err != nil {
 		var ide *docsession.InvalidDocumentError
 		if errors.As(err, &ide) {
 			return nil, ide
 		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
-		return nil, wrapDocumentError(err)
+		return nil, wrapRunError(err)
 	}
 	return sess, nil
 }
@@ -461,7 +410,8 @@ type BatchImplication struct {
 
 // ConsistentAll checks many constraint-set extensions against the compiled
 // specification: element i of the answer is ConsistentWith(ctx, sets[i]...).
-// The checks run on a bounded worker pool (see WithParallelism) and all
+// The checks run on a bounded worker pool (see
+// SolveOptions.SolverParallelism) and all
 // share the compiled encoding template, so throughput scales with cores
 // instead of re-paying the per-DTD work per set. Cancelling the context
 // makes remaining entries fail with errors matching ErrCanceled.
@@ -517,8 +467,8 @@ func (s *Spec) forEach(n int, do func(i int)) {
 }
 
 func (s *Spec) parallelism() int {
-	if s.par > 0 {
-		return s.par
+	if s.opt.SolverParallelism > 0 {
+		return s.opt.SolverParallelism
 	}
 	return runtime.GOMAXPROCS(0)
 }

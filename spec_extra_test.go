@@ -61,17 +61,15 @@ func TestValidateHonorsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := spec.Validate(context.Background(), doc); err == nil {
+	if rep, err := spec.Validate(context.Background(), doc); err != nil || rep.OK() {
 		// Ids repeat (only 7 distinct), so the key is genuinely violated —
 		// background validation must say so, not pass silently.
-		t.Fatal("duplicate ids must violate the key")
-	} else if !errors.As(err, new(*ViolationError)) {
-		t.Fatalf("want ViolationError, got %v", err)
+		t.Fatalf("duplicate ids must violate the key: %v %v", rep, err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = spec.Validate(ctx, doc)
+	_, err = spec.Validate(ctx, doc)
 	if err == nil {
 		t.Fatal("cancelled validation returned nil")
 	}
@@ -80,8 +78,8 @@ func TestValidateHonorsContext(t *testing.T) {
 	}
 
 	// nil context means unbounded, mirroring ValidateStream.
-	if err := spec.Validate(nil, doc); err == nil { //nolint:staticcheck // nil ctx is part of the contract
-		t.Error("nil-context validation lost the violation")
+	if rep, err := spec.Validate(nil, doc); err != nil || rep.OK() { //nolint:staticcheck // nil ctx is part of the contract
+		t.Errorf("nil-context validation lost the violation: %v %v", rep, err)
 	}
 }
 
@@ -128,7 +126,7 @@ func TestCompileStringsSemanticErrors(t *testing.T) {
 }
 
 // TestSpecSolveStats: the solver counters accumulate across checks, are
-// shared between WithOptions views of one engine, and report presolve
+// shared between WithSolveOptions views of one engine, and report presolve
 // activity on encoding-shaped systems.
 func TestSpecSolveStats(t *testing.T) {
 	spec, err := CompileStrings(`
@@ -145,7 +143,7 @@ emp.works_in => dept.id`)
 	if st := spec.SolveStats(); st.Solves != 0 {
 		t.Fatalf("fresh spec already has solves: %+v", st)
 	}
-	tuned := spec.WithOptions(Options{SkipWitness: true})
+	tuned := spec.WithSolveOptions(WithSkipWitness())
 	for i := 0; i < 3; i++ {
 		if _, err := tuned.Consistent(context.Background()); err != nil {
 			t.Fatal(err)
@@ -160,5 +158,18 @@ emp.works_in => dept.id`)
 	}
 	if st.PresolveDecided+st.FastPath+st.VarsFixed == 0 {
 		t.Errorf("presolve idle on an encoding-shaped system: %+v", st)
+	}
+}
+
+// TestValidateNilTree: a nil tree or root fails like an empty document,
+// as a *ParseError mapped to 400.
+func TestValidateNilTree(t *testing.T) {
+	spec := mustSpec(t, teachersDTD, sigma1)
+	for _, doc := range []*Tree{nil, {}} {
+		_, err := spec.Validate(context.Background(), doc)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Input != "document" || HTTPStatus(err) != 400 {
+			t.Errorf("Validate(%v) = %v, want a document *ParseError", doc, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package xic
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,7 +24,7 @@ func TestShippedSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile teachers spec: %v", err)
 	}
-	res, err := teachers.WithOptions(Options{SkipWitness: true}).Consistent(context.Background())
+	res, err := teachers.WithSolveOptions(WithSkipWitness()).Consistent(context.Background())
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -39,7 +40,7 @@ func TestShippedSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("school.xml: %v", err)
 	}
-	if err := school.Validate(context.Background(), doc); err != nil {
+	if err := reportErr(school.Validate(context.Background(), doc)); err != nil {
 		t.Errorf("specs/school.xml should validate against D3 + Σ3: %v", err)
 	}
 
@@ -53,7 +54,7 @@ func TestShippedSpecs(t *testing.T) {
 	if registrar.Class().String() != "C_K" {
 		t.Errorf("registrar constraints should be keys-only, got %s", registrar.Class())
 	}
-	res, err = registrar.WithOptions(Options{SkipWitness: true}).Consistent(context.Background())
+	res, err = registrar.WithSolveOptions(WithSkipWitness()).Consistent(context.Background())
 	if err != nil {
 		t.Fatalf("Consistent: %v", err)
 	}
@@ -69,5 +70,74 @@ func TestShippedSpecs(t *testing.T) {
 	}
 	if len(queries) == 0 {
 		t.Error("teachers.queries lists no queries")
+	}
+}
+
+// TestShippedSpecWitnessesValidate: every witness and counterexample the
+// decision procedures build over the specs/ fixtures passes dynamic
+// validation with an OK report — the DTDs alone, the shipped constraint
+// sets where consistency is decidable, and the teachers implication
+// queries.
+func TestShippedSpecWitnessesValidate(t *testing.T) {
+	read := func(name string) string {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join("specs", name))
+		if err != nil {
+			t.Fatalf("read %s: %v", name, err)
+		}
+		return string(data)
+	}
+	ctx := context.Background()
+	valid := func(spec *Spec, name string, doc *Tree) {
+		t.Helper()
+		rep, err := spec.Validate(ctx, doc)
+		if err != nil || !rep.OK() {
+			t.Errorf("%s: witness fails validation: %v %v\n%s", name, err, rep, SerializeDocument(doc))
+		}
+	}
+	witnesses := 0
+	for _, name := range []string{"teachers", "school", "registrar"} {
+		schema, err := CompileDTDString(read(name + ".dtd"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, src := range []string{"", read(name + ".xic")} {
+			spec, err := schema.BindStrings(src)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			res, err := spec.Consistent(ctx)
+			if errors.Is(err, ErrUndecidable) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: Consistent: %v", name, err)
+			}
+			if res.Consistent {
+				valid(spec, name, res.Witness)
+				witnesses++
+			}
+		}
+	}
+	teachers, err := CompileStrings(read("teachers.dtd"), "teacher.name -> teacher\nsubject.taught_by -> subject")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := ParseConstraints(read("teachers.queries"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phi := range queries {
+		imp, err := teachers.Implies(ctx, phi)
+		if err != nil {
+			t.Fatalf("Implies %s: %v", phi, err)
+		}
+		if !imp.Implied {
+			valid(teachers, "counterexample to "+phi.String(), imp.Counterexample)
+			witnesses++
+		}
+	}
+	if witnesses < 5 {
+		t.Errorf("only %d witnesses checked", witnesses)
 	}
 }

@@ -42,6 +42,42 @@ func compileStream(t testing.TB, dtdSrc, consSrc string) *Spec {
 	return spec
 }
 
+// sameReport validates doc both ways — ValidateStream on the bytes,
+// Validate on the parsed tree — and fails unless the two Reports agree on
+// OK, Elements and every violation's constraint, path and message; only
+// source positions differ. It returns the streamed Report.
+func sameReport(t testing.TB, spec *Spec, doc []byte) *Report {
+	t.Helper()
+	ctx := context.Background()
+	stream, err := spec.ValidateStream(ctx, bytes.NewReader(doc))
+	if err != nil {
+		t.Fatalf("ValidateStream: %v", err)
+	}
+	tree, err := ParseDocument(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatalf("ParseDocument: %v", err)
+	}
+	fromTree, err := spec.Validate(ctx, tree)
+	if err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if fromTree.OK() != stream.OK() || fromTree.Elements != stream.Elements ||
+		len(fromTree.Violations) != len(stream.Violations) {
+		t.Fatalf("reports differ: tree ok=%v elements=%d %v, stream ok=%v elements=%d %v",
+			fromTree.OK(), fromTree.Elements, fromTree.Violations, stream.OK(), stream.Elements, stream.Violations)
+	}
+	for i, tv := range fromTree.Violations {
+		sv := stream.Violations[i]
+		if fmt.Sprint(tv.Constraint) != fmt.Sprint(sv.Constraint) || tv.Path != sv.Path || tv.Msg != sv.Msg {
+			t.Fatalf("violation %d differs: tree %v, stream %v", i, tv, sv)
+		}
+		if tv.Line != 0 || (tv.Offset != 0 && tv.Offset != -1) {
+			t.Fatalf("tree violation %d carries a source position: %+v", i, tv)
+		}
+	}
+	return stream
+}
+
 // genDoc renders a pseudo-random conforming document of about n element
 // nodes. pool 0 makes attribute values unique (keys hold).
 func genDoc(t testing.TB, dtdSrc string, n, pool int, seed int64) []byte {
@@ -70,18 +106,7 @@ func TestValidateStreamMatchesValidateOnFixtures(t *testing.T) {
 		return string(data)
 	}
 	school := compileStream(t, read("school.dtd"), read("school.xic"))
-	doc := read("school.xml")
-	rep, err := school.ValidateStream(context.Background(), strings.NewReader(doc))
-	if err != nil {
-		t.Fatalf("ValidateStream: %v", err)
-	}
-	tree, err := ParseDocumentString(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if treeOK := school.Validate(context.Background(), tree) == nil; treeOK != rep.OK() {
-		t.Fatalf("verdicts differ on school.xml: tree=%v stream=%v (%v)", treeOK, rep.OK(), rep.Violations)
-	}
+	rep := sameReport(t, school, []byte(read("school.xml")))
 	if !rep.OK() {
 		t.Errorf("specs/school.xml must stream-validate: %v", rep.Violations)
 	}
@@ -91,16 +116,11 @@ func TestValidateStreamMatchesValidateOnFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig1 := xmltree.Serialize(xmltree.Figure1())
-	rep, err = teachers.ValidateStream(context.Background(), strings.NewReader(fig1))
-	if err != nil {
-		t.Fatal(err)
+	if rep := sameReport(t, teachers, []byte(xmltree.Serialize(xmltree.Figure1()))); rep.OK() {
+		t.Error("Figure 1 must violate Σ1")
 	}
-	if rep.OK() {
-		t.Error("Figure 1 must violate Σ1 under streaming validation")
-	}
-	if verr := teachers.Validate(context.Background(), xmltree.Figure1()); verr == nil {
-		t.Error("Figure 1 must violate Σ1 under tree validation")
+	if rep, err := teachers.Validate(context.Background(), xmltree.Figure1()); err != nil || rep.OK() {
+		t.Errorf("Figure 1 must violate Σ1 under tree validation: %v %v", rep, err)
 	}
 }
 
@@ -111,20 +131,9 @@ func TestValidateStreamMatchesValidateOnGenerated(t *testing.T) {
 	spec := compileStream(t, streamBenchDTD, streamBenchXIC+"\nitem.val <= grp.id\n")
 	for _, n := range []int{50, 2000} {
 		for _, pool := range []int{0, 5} {
-			doc := genDoc(t, streamBenchDTD, n, pool, int64(n+pool))
-			rep, err := spec.ValidateStream(context.Background(), bytes.NewReader(doc))
-			if err != nil {
-				t.Fatalf("n=%d pool=%d: ValidateStream: %v", n, pool, err)
-			}
-			tree, err := ParseDocument(bytes.NewReader(doc))
-			if err != nil {
-				t.Fatalf("n=%d pool=%d: ParseDocument: %v", n, pool, err)
-			}
-			treeOK := spec.Validate(context.Background(), tree) == nil
-			if treeOK != rep.OK() {
-				t.Errorf("n=%d pool=%d: verdicts differ: tree=%v stream=%v (%v)",
-					n, pool, treeOK, rep.OK(), rep.Violations)
-			}
+			t.Run(fmt.Sprintf("n=%d/pool=%d", n, pool), func(t *testing.T) {
+				sameReport(t, spec, genDoc(t, streamBenchDTD, n, pool, int64(n+pool)))
+			})
 		}
 	}
 }
@@ -214,6 +223,7 @@ func TestSolveErrorsBecomeSpecErrors(t *testing.T) {
 func TestValidateStreamConcurrent(t *testing.T) {
 	spec := compileStream(t, streamBenchDTD, streamBenchXIC)
 	doc := genDoc(t, streamBenchDTD, 3000, 0, 2)
+	sameReport(t, spec, doc)
 	errc := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		go func() {
@@ -287,21 +297,10 @@ func TestValidateStreamAllocs(t *testing.T) {
 // both the tree and the streaming path.
 func TestImpliedAttributesAreRequired(t *testing.T) {
 	spec := compileStream(t, "<!ELEMENT a EMPTY>\n<!ATTLIST a id CDATA #IMPLIED>", "")
-	tree, err := ParseDocumentString(`<a/>`)
-	if err != nil {
-		t.Fatal(err)
+	if rep := sameReport(t, spec, []byte(`<a/>`)); rep.OK() || !strings.Contains(rep.Violations[0].Msg, "lacks required attribute") {
+		t.Errorf("<a/>: %v, want a missing-attribute violation", rep.Violations)
 	}
-	if err := spec.Validate(context.Background(), tree); err == nil {
-		t.Error("Validate accepted <a/> lacking an #IMPLIED attribute")
-	}
-	rep, err := spec.ValidateStream(context.Background(), strings.NewReader(`<a/>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK() || !strings.Contains(rep.Violations[0].Msg, "lacks required attribute") {
-		t.Errorf("ValidateStream on <a/>: %v, want a missing-attribute violation", rep.Violations)
-	}
-	if rep, err := spec.ValidateStream(context.Background(), strings.NewReader(`<a id="1"/>`)); err != nil || !rep.OK() {
-		t.Errorf("ValidateStream on <a id=\"1\"/>: %v %v", rep, err)
+	if rep := sameReport(t, spec, []byte(`<a id="1"/>`)); !rep.OK() {
+		t.Errorf("<a id=\"1\"/>: %v", rep.Violations)
 	}
 }

@@ -33,6 +33,15 @@ func mustSpec(t *testing.T, dtdSrc, consSrc string) *Spec {
 	return spec
 }
 
+// reportErr folds a validation's two results into one error: the call's
+// own error, or else the Report's first violation.
+func reportErr(rep *Report, err error) error {
+	if err != nil {
+		return err
+	}
+	return rep.Err()
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	spec := mustSpec(t, teachersDTD, sigma1)
 	res, err := spec.Consistent(context.Background())
@@ -59,7 +68,7 @@ func TestWitnessFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseDocumentString: %v", err)
 	}
-	if err := spec.Validate(context.Background(), doc); err != nil {
+	if err := reportErr(spec.Validate(context.Background(), doc)); err != nil {
 		t.Errorf("serialized witness fails dynamic validation: %v", err)
 	}
 }
@@ -79,13 +88,19 @@ func TestSpecValidateViolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseDocumentString: %v", err)
 	}
-	err = spec.Validate(context.Background(), doc)
-	var viol *ViolationError
-	if !errors.As(err, &viol) {
-		t.Fatalf("expected ViolationError, got %v", err)
+	rep, err := spec.Validate(context.Background(), doc)
+	if err != nil {
+		t.Fatalf("Validate: %v", err)
 	}
-	if !strings.Contains(viol.Error(), "taught_by") {
-		t.Errorf("violation message %q should name the key", viol)
+	if rep.OK() || rep.Elements != 6 {
+		t.Fatalf("want a violation among 6 elements, got %d elements, %v", rep.Elements, rep.Violations)
+	}
+	v := rep.Violations[0]
+	if v.Constraint == nil || !strings.Contains(v.Constraint.String(), "taught_by") {
+		t.Errorf("violation %v should name the key", v)
+	}
+	if v.Path != "teachers/teacher[0]/teach[0]/subject[1]" || v.Line != 0 || v.Offset != 0 {
+		t.Errorf("violation %+v: want the second subject's path and no source position", v)
 	}
 }
 
@@ -175,72 +190,5 @@ func TestConsistentDTDFacade(t *testing.T) {
 	d2, _ := ParseDTD("<!ELEMENT db (foo)>\n<!ELEMENT foo (foo)>")
 	if ConsistentDTD(d2) {
 		t.Error("db → foo → foo … has no finite documents")
-	}
-}
-
-// TestDeprecatedFacade keeps the pre-Spec wrappers working: downstream
-// code compiled against the old flat API must keep getting the same
-// answers until it migrates.
-func TestDeprecatedFacade(t *testing.T) {
-	d, err := ParseDTD(teachersDTD)
-	if err != nil {
-		t.Fatalf("ParseDTD: %v", err)
-	}
-	sigma, err := ParseConstraints(sigma1)
-	if err != nil {
-		t.Fatalf("ParseConstraints: %v", err)
-	}
-
-	res, err := CheckConsistency(d, sigma, nil)
-	if err != nil {
-		t.Fatalf("CheckConsistency: %v", err)
-	}
-	if res.Consistent {
-		t.Error("CheckConsistency must still report Σ1 inconsistent")
-	}
-
-	imp, err := CheckImplication(d, sigma[:1], UnaryKey("teacher", "name"), nil)
-	if err != nil {
-		t.Fatalf("CheckImplication: %v", err)
-	}
-	if !imp.Implied {
-		t.Error("CheckImplication must still work")
-	}
-
-	c, err := NewChecker(d)
-	if err != nil {
-		t.Fatalf("NewChecker: %v", err)
-	}
-	res, err = c.Consistent(sigma, &Options{SkipWitness: true})
-	if err != nil {
-		t.Fatalf("Checker.Consistent: %v", err)
-	}
-	if res.Consistent {
-		t.Error("Σ1 must stay inconsistent through the Checker")
-	}
-
-	doc, err := ParseDocumentString(`
-<teachers>
-  <teacher name="Joe">
-    <teach>
-      <subject taught_by="a">XML</subject>
-      <subject taught_by="b">DB</subject>
-    </teach>
-    <research>Web DB</research>
-  </teacher>
-</teachers>`)
-	if err != nil {
-		t.Fatalf("ParseDocumentString: %v", err)
-	}
-	if err := ValidateDocument(doc, d, sigma[:2]); err != nil {
-		t.Errorf("ValidateDocument: %v", err)
-	}
-
-	diag, err := Diagnose(d, sigma, nil)
-	if err != nil {
-		t.Fatalf("Diagnose: %v", err)
-	}
-	if len(diag.Core) == 0 {
-		t.Error("Diagnose must still produce a core")
 	}
 }
