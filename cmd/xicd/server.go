@@ -789,11 +789,21 @@ type violationJSON struct {
 	Msg        string `json:"msg"`
 }
 
+// validateResponse is the wire shape of a document report, shared by
+// /validate and the 422 answer to opening a session on an invalid
+// document.
 type validateResponse struct {
 	OK         bool            `json:"ok"`
 	Elements   int             `json:"elements"`
 	Truncated  bool            `json:"truncated,omitempty"`
+	Dropped    int             `json:"dropped,omitempty"`
 	Violations []violationJSON `json:"violations,omitempty"`
+}
+
+// reportResponse maps a report onto its wire shape.
+func reportResponse(rep *xic.Report) validateResponse {
+	return validateResponse{OK: rep.OK(), Elements: rep.Elements, Truncated: rep.Truncated,
+		Dropped: rep.Dropped, Violations: violationsJSON(rep.Violations)}
 }
 
 // handleValidate streams the request body — the XML document itself —
@@ -822,6 +832,5 @@ func (s *server) handleValidate(w http.ResponseWriter, r *http.Request, spec *xi
 		return
 	}
 	s.elements.Add(int64(rep.Elements))
-	s.writeJSON(w, http.StatusOK, validateResponse{OK: rep.OK(), Elements: rep.Elements,
-		Truncated: rep.Truncated, Violations: violationsJSON(rep.Violations)})
+	s.writeJSON(w, http.StatusOK, reportResponse(rep))
 }

@@ -371,6 +371,38 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 }
 
+// TestTruncatedReportOnTheWire checks that a report past the violation
+// cap keeps its truncated flag and dropped count on /validate and on the
+// 422 of a session open, which share one response shape.
+func TestTruncatedReportOnTheWire(t *testing.T) {
+	h := newTestServer(t, config{}).handler()
+	db := compileSpec(t, h, dbDTD, dbXIC)
+	var doc strings.Builder
+	doc.WriteString("<db>")
+	for i := 0; i < 100; i++ {
+		doc.WriteString(`<emp id="e" works_in="d1"/>`)
+	}
+	doc.WriteString(`<dept id="d1"/></db>`)
+	// 99 duplicate keys: the first 64 are kept, 35 dropped.
+	for _, c := range []struct {
+		path string
+		code int
+	}{
+		{"/v1/specs/" + db + "/validate", http.StatusOK},
+		{"/v1/specs/" + db + "/sessions", http.StatusUnprocessableEntity},
+	} {
+		w := do(t, h, "POST", c.path, doc.String())
+		if w.Code != c.code {
+			t.Fatalf("%s: status %d, want %d: %s", c.path, w.Code, c.code, w.Body)
+		}
+		res := decode[validateResponse](t, w)
+		if res.OK || res.Elements != 102 || !res.Truncated || res.Dropped != 35 || len(res.Violations) != 64 {
+			t.Errorf("%s: ok=%v elements=%d truncated=%v dropped=%d violations=%d, want false 102 true 35 64",
+				c.path, res.OK, res.Elements, res.Truncated, res.Dropped, len(res.Violations))
+		}
+	}
+}
+
 func TestBodyLimits(t *testing.T) {
 	// JSON endpoints bound by MaxBody, validate by MaxDoc.
 	h := newTestServer(t, config{MaxBody: 1024, MaxDoc: 1024}).handler()

@@ -51,11 +51,7 @@ func (s *server) handleOpenSession(w http.ResponseWriter, r *http.Request, spec 
 		}
 		var ide *xic.InvalidDocumentError
 		if errors.As(err, &ide) {
-			s.writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-				"ok":         false,
-				"elements":   ide.Report.Elements,
-				"violations": violationsJSON(ide.Report.Violations),
-			})
+			s.writeJSON(w, http.StatusUnprocessableEntity, reportResponse(ide.Report))
 			return
 		}
 		s.writeError(w, err)

@@ -51,6 +51,39 @@ func BenchmarkSessionEdit(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionOpen measures session ingest of the edit-30k corpus
+// document, beside one streaming validation of the same bytes: the
+// single pass that ingest builds the session's tree, indexes and
+// checkpoints within.
+func BenchmarkSessionOpen(b *testing.B) {
+	spec := editSpec(b)
+	var doc string
+	for _, c := range editbench.DefaultCorpus() {
+		if c.Name == "edit-30k" {
+			doc = c.Document()
+		}
+	}
+	ctx := context.Background()
+	b.Run("Open", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(doc)))
+		for i := 0; i < b.N; i++ {
+			if _, err := spec.OpenSession(ctx, strings.NewReader(doc)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ValidateStream", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(doc)))
+		for i := 0; i < b.N; i++ {
+			if rep, err := spec.ValidateStream(ctx, strings.NewReader(doc)); err != nil || !rep.OK() {
+				b.Fatalf("ValidateStream: %v %v", err, rep)
+			}
+		}
+	})
+}
+
 // TestWriteEditBench records the session-vs-restream comparison to the
 // JSON file named by XIC_EDIT_BENCH_OUT (skipped otherwise; CI sets it to
 // BENCH_edit.json). It asserts the acceptance bound of the session

@@ -3,7 +3,9 @@
 // counterpart of xmltree.Validator + constraint.SatisfiedAll for the
 // paper's fixed-DTD setting (Corollaries 4.11 and 5.5): the schema is
 // compiled once and many documents are checked against it, so the checker
-// must not materialize each document as a tree.
+// must not materialize each document as a tree. The one exception is
+// RunRetain, whose caller keeps the document: the same pass then also
+// builds the tree and each element's content-model checkpoint.
 //
 // Memory is bounded by the open-element stack and the constraint hash
 // indexes, never by the document: DTD conformance feeds each element's
@@ -223,23 +225,45 @@ func (c *Checker) Run(ctx context.Context, r io.Reader) (*Report, error) {
 	return rep, err
 }
 
-// RunRetain validates like Run but additionally returns the filled
-// incremental constraint indexes (index.go), complete enough to support
-// later removal: the drop-the-index-early optimization streaming mode
-// applies once a negated key is decided is disabled. Document sessions
-// (internal/docsession) ingest through here and keep the indexes alive
-// across edits.
-func (c *Checker) RunRetain(ctx context.Context, r io.Reader) (*Report, *Indexes, error) {
+// Retained is what RunRetain keeps of a valid document: its tree, as
+// xmltree.Parse builds it; the filled constraint indexes (index.go),
+// complete enough to support later removal, since the drop-the-index-early
+// optimization of streaming mode is off; and each element's checkpoint,
+// the state of its content model's automaton after its last child.
+type Retained struct {
+	Tree        *xmltree.Tree
+	Indexes     *Indexes
+	Checkpoints map[*xmltree.Node]*dtd.State
+}
+
+// RunRetain validates like Run and, for a valid document, also returns
+// what a document session (internal/docsession) keeps across edits. One
+// scanner pass does both: each start tag feeds an xmltree.Builder, and
+// each end tag saves the element's automaton run, which has just consumed
+// its last child, before the run goes back to the pool. Building stops at
+// the first violation, since an invalid document is not kept; the
+// Retained is then nil.
+func (c *Checker) RunRetain(ctx context.Context, r io.Reader) (*Report, *Retained, error) {
 	return c.runPass(ctx, r, true)
 }
 
-func (c *Checker) runPass(ctx context.Context, r io.Reader, retain bool) (*Report, *Indexes, error) {
+func (c *Checker) runPass(ctx context.Context, r io.Reader, retain bool) (*Report, *Retained, error) {
 	rn, idxs := c.newRun(ctx, retain)
 	rn.sc = xmltree.NewScanner(r)
+	if retain {
+		rn.tb = &xmltree.Builder{}
+	}
 	if err := rn.loop(ctx); err != nil {
 		return nil, nil, err
 	}
-	return rn.report, idxs, nil
+	if !rn.building() {
+		return rn.report, nil, nil
+	}
+	states := make(map[*xmltree.Node]*dtd.State, len(rn.closed))
+	for i := range rn.closed {
+		states[rn.closed[i].n] = &rn.closed[i].st
+	}
+	return rn.report, &Retained{Tree: rn.tb.Tree(), Indexes: idxs, Checkpoints: states}, nil
 }
 
 // RunTree validates an in-memory tree with the checks Run applies to a
@@ -351,6 +375,11 @@ type run struct {
 	path      []byte // rendered paths of frames[:pathValid]
 	pathValid int
 
+	// RunRetain only, until the first violation: the tree under
+	// construction and the checkpoints of the elements closed so far.
+	tb     *xmltree.Builder
+	closed []checkpoint
+
 	done <-chan struct{}
 }
 
@@ -386,10 +415,17 @@ func (rn *run) loop(ctx context.Context) error {
 		case xmltree.KindStart:
 			rn.startElement(sc.Name(), sc.Attrs())
 		case xmltree.KindEnd:
+			if rn.building() { // while building, every open element has a run
+				rn.closed = append(rn.closed, checkpoint{n: rn.tb.End()})
+				rn.frames[rn.depth-1].run.SaveInto(&rn.closed[len(rn.closed)-1].st)
+			}
 			if rn.end() {
 				rn.reportIncomplete()
 			}
 		case xmltree.KindText:
+			if rn.building() {
+				rn.tb.Text(sc.Text())
+			}
 			if rn.text() {
 				rn.reportText()
 			}
@@ -406,7 +442,9 @@ const (
 )
 
 // startElement handles a start tag: the cold work around the hot start —
-// growing the stack, copying kept attribute values, reporting problems.
+// growing the stack, copying kept attribute values, reporting problems,
+// building the retained node. A retained node's attribute map holds the
+// one copy of each value, which the kept slots share.
 func (rn *run) startElement(name []byte, attrs []xmltree.Attr) {
 	sym := rn.c.syms.lookup(-1, name)
 	rn.reserve(sym)
@@ -423,15 +461,40 @@ func (rn *run) startElement(name []byte, attrs []xmltree.Attr) {
 		}
 		rn.reportStart(problems, extra)
 	}
+	var n *xmltree.Node
+	if rn.building() {
+		n = rn.tb.Start(name, attrs)
+	}
 	if sym < 0 || len(rn.collectors[sym]) == 0 {
 		return
 	}
-	for _, slot := range rn.c.types[sym].kept {
-		if rn.have[slot] == rn.gen {
+	t := &rn.c.types[sym]
+	for _, slot := range t.kept {
+		switch {
+		case rn.have[slot] != rn.gen:
+		case n != nil:
+			rn.kept[slot] = n.Attrs[t.decl.Attrs[slot]]
+		default:
 			rn.kept[slot] = string(rn.vals[slot])
 		}
 	}
 	rn.collect(sym)
+}
+
+// building reports whether the pass still builds the retained document.
+// It stops at the first violation: an invalid document is not kept, so
+// the rest of its tree would be thrown away.
+func (rn *run) building() bool {
+	if rn.tb != nil && len(rn.report.Violations) > 0 {
+		rn.tb, rn.closed = nil, nil
+	}
+	return rn.tb != nil
+}
+
+// checkpoint is a closed element's node and content-model state.
+type checkpoint struct {
+	n  *xmltree.Node
+	st dtd.State
 }
 
 // startNode is startElement for an element node of a tree, whose

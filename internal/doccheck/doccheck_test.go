@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -255,16 +256,19 @@ func sameReports(t *testing.T, tree, stream *Report, doc string) {
 	}
 }
 
-// checkAgreement asserts three sides agree on a document: Run on its
-// bytes, RunTree on its parsed tree, and the tree oracle. The parse
-// verdicts and the validity verdicts must match, and the two Reports must
-// be the same but for source positions.
+// checkAgreement asserts four sides agree on a document: Run on its
+// bytes, RunRetain on its bytes, RunTree on its parsed tree, and the tree
+// oracle. The parse verdicts and the validity verdicts must match, Run
+// and RunRetain must return the same Report, and RunTree's must be the
+// same but for source positions. For a valid document RunRetain's tree
+// must be the parsed tree and its checkpoints those of fresh runs.
 func checkAgreement(t *testing.T, c *Checker, doc string) {
 	t.Helper()
 	tr, treeErr := xmltree.Parse(strings.NewReader(doc))
 	rep, streamErr := c.Run(context.Background(), strings.NewReader(doc))
-	if (treeErr == nil) != (streamErr == nil) {
-		t.Fatalf("parse verdicts differ: tree=%v stream=%v on:\n%s", treeErr, streamErr, doc)
+	retRep, kept, retErr := c.RunRetain(context.Background(), strings.NewReader(doc))
+	if (treeErr == nil) != (streamErr == nil) || (retErr == nil) != (streamErr == nil) {
+		t.Fatalf("parse verdicts differ: tree=%v stream=%v retain=%v on:\n%s", treeErr, streamErr, retErr, doc)
 	}
 	if treeErr != nil {
 		return
@@ -272,11 +276,64 @@ func checkAgreement(t *testing.T, c *Checker, doc string) {
 	if oracle := oracleValid(c, tr); oracle != rep.OK() {
 		t.Fatalf("validity verdicts differ: tree=%v stream=%v on:\n%s", oracle, rep.OK(), doc)
 	}
+	if !reflect.DeepEqual(retRep, rep) {
+		t.Fatalf("reports differ: RunRetain %+v, Run %+v on:\n%s", retRep, rep, doc)
+	}
+	if (kept != nil) != rep.OK() {
+		t.Fatalf("RunRetain retained %v for a document with OK=%v on:\n%s", kept != nil, rep.OK(), doc)
+	}
+	if kept != nil {
+		checkRetained(t, c, tr, kept, doc)
+	}
 	fromTree, err := c.RunTree(context.Background(), tr)
 	if err != nil {
 		t.Fatalf("RunTree: %v on:\n%s", err, doc)
 	}
 	sameReports(t, fromTree, rep, doc)
+}
+
+// checkRetained fails unless RunRetain's tree equals the parsed tree node
+// for node (labels, attribute maps, text values, child order) and holds
+// exactly one checkpoint per element, equal to a fresh run of the
+// element's content model stepped over its children.
+func checkRetained(t *testing.T, c *Checker, parsed *xmltree.Tree, kept *Retained, doc string) {
+	t.Helper()
+	if !reflect.DeepEqual(kept.Tree, parsed) {
+		t.Fatalf("retained tree differs from the parsed tree:\n%s\nwant:\n%s\non:\n%s",
+			xmltree.Serialize(kept.Tree), xmltree.Serialize(parsed), doc)
+	}
+	elements := 0
+	kept.Tree.Walk(func(n *xmltree.Node) bool {
+		if n.IsText() {
+			return false
+		}
+		elements++
+		got, ok := kept.Checkpoints[n]
+		if !ok {
+			t.Fatalf("no checkpoint for %s on:\n%s", kept.Tree.Path(n), doc)
+		}
+		r := c.v.Automaton(n.Label).Start()
+		for _, ch := range n.Children {
+			r.Step(ch.Label)
+		}
+		if want := r.Save(); !sameCheckpoint(got, want) {
+			t.Fatalf("checkpoint of %s is %+v, a fresh run gives %+v on:\n%s", kept.Tree.Path(n), got, want, doc)
+		}
+		return true
+	})
+	if len(kept.Checkpoints) != elements {
+		t.Fatalf("%d checkpoints for %d elements on:\n%s", len(kept.Checkpoints), elements, doc)
+	}
+}
+
+// sameCheckpoint reports whether two checkpoints hold the same automaton
+// state. Before the first symbol a run's position set is unused (and a
+// reused run's is stale), so only the length is compared there.
+func sameCheckpoint(a, b *dtd.State) bool {
+	if a.Len() == 0 || b.Len() == 0 {
+		return a.Len() == b.Len()
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 // TestStreamMatchesTreeOnFigure1 pins the paper's own example.
@@ -290,6 +347,30 @@ func TestStreamMatchesTreeOnFigure1(t *testing.T) {
 	rep := mustRun(t, c, doc)
 	if rep.OK() {
 		t.Fatal("Figure 1 must violate Σ1")
+	}
+}
+
+// TestRunRetainMatchesParse runs the four-sided agreement on documents
+// whose text is split by comments, CDATA sections and references, whose
+// attributes are prefixed, and whose content is mixed, valid and not.
+func TestRunRetainMatchesParse(t *testing.T) {
+	c := newChecker(t, `
+<!ELEMENT doc (para+, note*)>
+<!ELEMENT para (#PCDATA | em)*>
+<!ELEMENT em (#PCDATA)>
+<!ELEMENT note EMPTY>
+<!ATTLIST para id CDATA #REQUIRED>
+<!ATTLIST note ref CDATA #REQUIRED>
+`, "para.id -> para\nnote.ref => para.id")
+	for _, doc := range []string{
+		`<doc><para id="p1">one <!-- split --> two<![CDATA[ <three> ]]>four &amp; five&#33;</para></doc>`,
+		`<doc xmlns:x="urn:x"><para x:id="p1">mixed <em>emphasis</em> tail<?pi?><em>again</em>end</para><note x:ref="p1"/></doc>`,
+		"<doc>\n  <para id=\"p1\">\n    <em>a</em>\n  </para>\n  <para id=\"p2\"/>\n</doc>",
+		`<doc><para id="p1">text</para><note ref="p9"/></doc>`,
+		`<doc><para id="p1">text</para><para id="p1">more text</para></doc>`,
+		`<doc><para id="p1"><note ref="p1"/></para></doc>`,
+	} {
+		checkAgreement(t, c, doc)
 	}
 }
 

@@ -87,13 +87,14 @@ func TestRunRetainIndexesMatchDocument(t *testing.T) {
 		`,
 		"grp.id -> grp\nref.to <= grp.id\nnot grp.tag -> grp")
 	doc := `<lib><grp id="a" tag="t"/><grp id="b" tag="t"/><ref to="a"/></lib>`
-	rep, idxs, err := ck.RunRetain(context.Background(), strings.NewReader(doc))
+	rep, kept, err := ck.RunRetain(context.Background(), strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
 		t.Fatalf("document should be valid, got %v", rep.Violations)
 	}
+	idxs := kept.Indexes
 	if len(idxs.Entries) != 3 {
 		t.Fatalf("got %d index entries, want 3", len(idxs.Entries))
 	}

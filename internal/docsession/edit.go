@@ -153,7 +153,7 @@ func (s *Session) setAttrFast(op *EditOp) opStatus {
 	if n.IsText() {
 		return opNotElement
 	}
-	decl := s.d.Element(n.Label)
+	decl := s.v.DTD().Element(n.Label)
 	if decl == nil || !decl.HasAttr(op.Attr) {
 		return opUndeclaredAttr
 	}
@@ -165,7 +165,9 @@ func (s *Session) setAttrFast(op *EditOp) opStatus {
 		return opOK // no-op
 	}
 	s.beginOp()
-	for _, b := range s.plan.byLabel[n.Label] {
+	bs := s.plan.byLabel[n.Label]
+	for i := range bs {
+		b := &bs[i]
 		if !hasAttr(b.attrs, op.Attr) {
 			continue
 		}
@@ -173,27 +175,9 @@ func (s *Session) setAttrFast(op *EditOp) opStatus {
 		if !ok {
 			continue // defensive: conforming elements carry full tuples
 		}
-		oldT := tupleKey(oldVals)
+		s.bindTuple(b, tupleKey(oldVals), true)
 		newVals, _ := s.tupleOfWith(n, b.attrs, op.Attr, op.Value)
-		newT := tupleKey(newVals)
-		s.touch(b.entry)
-		switch b.role {
-		case roleKey:
-			pos := b.key.Remove(oldT)
-			s.pushUndo(undoEntry{kind: undoKeyRemove, key: b.key, t: oldT, pos: pos})
-			b.key.Add(newT, doccheck.SrcPos{})
-			s.pushUndo(undoEntry{kind: undoKeyAdd, key: b.key, t: newT})
-		case roleChild:
-			pos := b.incl.RemoveChild(oldT)
-			s.pushUndo(undoEntry{kind: undoChildRemove, incl: b.incl, t: oldT, pos: pos})
-			b.incl.AddChild(newT, doccheck.SrcPos{})
-			s.pushUndo(undoEntry{kind: undoChildAdd, incl: b.incl, t: newT})
-		case roleParent:
-			b.incl.RemoveParent(oldT)
-			s.pushUndo(undoEntry{kind: undoParentRemove, incl: b.incl, t: oldT})
-			b.incl.AddParent(newT)
-			s.pushUndo(undoEntry{kind: undoParentAdd, incl: b.incl, t: newT})
-		}
+		s.bindTuple(b, tupleKey(newVals), false)
 	}
 	if s.anyViolated() {
 		return opConstraint // indexes stay in candidate state for the report builder
@@ -252,13 +236,12 @@ func (s *Session) setTextSlow(n *xmltree.Node, value string, ws bool) opStatus {
 	if !r.Accepting() {
 		return opBadContent
 	}
-	r.SaveInto(&s.endState)
+	r.SaveInto(s.state[n])
 	if ws {
 		n.Children = n.Children[:0]
 	} else {
 		n.Children = append(n.Children[:0], xmltree.NewText(value))
 	}
-	s.commitState(n)
 	return opOK
 }
 
@@ -280,24 +263,26 @@ func (s *Session) applyInsert(op *EditOp) *RejectedEdit {
 		return s.structuralReject(op, "subtree XML: %v", err)
 	}
 	if rej := s.conformReject(op, sub.Root); rej != nil {
+		s.dropCheckpoints(sub.Root)
 		return rej
 	}
 	if !s.replayChildren(parent, -1, op.Index, sub.Root.Label) {
+		s.dropCheckpoints(sub.Root)
 		return s.contentReject(op, parent)
 	}
 	s.beginOp()
-	s.addSubtree(sub.Root)
+	elems := s.bindSubtree(sub.Root, false)
 	if s.anyViolated() {
 		rej := s.buildRejection(op, sub.Root)
 		s.rollback()
+		s.dropCheckpoints(sub.Root)
 		return rej
 	}
 	parent.Children = append(parent.Children, nil)
 	copy(parent.Children[op.Index+1:], parent.Children[op.Index:])
 	parent.Children[op.Index] = sub.Root
 	s.commitState(parent)
-	s.checkpointSubtree(sub.Root)
-	s.elems += countElements(sub.Root)
+	s.elems += elems
 	return nil
 }
 
@@ -315,7 +300,7 @@ func (s *Session) applyDelete(op *EditOp) *RejectedEdit {
 		return s.contentReject(op, parent)
 	}
 	s.beginOp()
-	s.removeSubtree(n)
+	elems := s.bindSubtree(n, true)
 	if s.anyViolated() {
 		rej := s.buildRejection(op, n)
 		s.rollback()
@@ -334,88 +319,79 @@ func (s *Session) applyDelete(op *EditOp) *RejectedEdit {
 	}
 	s.commitState(parent)
 	s.dropCheckpoints(n)
-	s.elems -= countElements(n)
+	s.elems -= elems
 	return nil
 }
 
-// addSubtree feeds every element of the subtree through its label's
-// index bindings, recording undo entries.
-func (s *Session) addSubtree(n *xmltree.Node) {
+// bindSubtree feeds every element of the subtree through its label's
+// index bindings — adding its tuples, or withdrawing them when remove is
+// set — recording undo entries. It returns the number of elements fed.
+func (s *Session) bindSubtree(n *xmltree.Node, remove bool) int {
 	if n.IsText() {
-		return
+		return 0
 	}
-	for _, b := range s.plan.byLabel[n.Label] {
-		vals, ok := s.tupleOf(n, b.attrs)
-		if !ok {
-			if b.role == roleChild {
-				b.incl.AddLacking()
-				s.pushUndo(undoEntry{kind: undoLackAdd, incl: b.incl})
-				s.touch(b.entry)
-			}
+	bs := s.plan.byLabel[n.Label]
+	for i := range bs {
+		b := &bs[i]
+		if vals, ok := s.tupleOf(n, b.attrs); ok {
+			s.bindTuple(b, tupleKey(vals), remove)
 			continue
 		}
-		t := tupleKey(vals)
-		s.touch(b.entry)
-		switch b.role {
-		case roleKey:
-			b.key.Add(t, doccheck.SrcPos{})
-			s.pushUndo(undoEntry{kind: undoKeyAdd, key: b.key, t: t})
-		case roleChild:
-			b.incl.AddChild(t, doccheck.SrcPos{})
-			s.pushUndo(undoEntry{kind: undoChildAdd, incl: b.incl, t: t})
-		case roleParent:
-			b.incl.AddParent(t)
-			s.pushUndo(undoEntry{kind: undoParentAdd, incl: b.incl, t: t})
-		}
-	}
-	for _, c := range n.Children {
-		s.addSubtree(c)
-	}
-}
-
-// removeSubtree withdraws every element of the subtree from its label's
-// index bindings, recording undo entries.
-func (s *Session) removeSubtree(n *xmltree.Node) {
-	if n.IsText() {
-		return
-	}
-	for _, b := range s.plan.byLabel[n.Label] {
-		vals, ok := s.tupleOf(n, b.attrs)
-		if !ok {
-			if b.role == roleChild {
+		if b.role == roleChild {
+			s.touch(b.entry)
+			if remove {
 				b.incl.RemoveLacking()
 				s.pushUndo(undoEntry{kind: undoLackRemove, incl: b.incl})
-				s.touch(b.entry)
+			} else {
+				b.incl.AddLacking()
+				s.pushUndo(undoEntry{kind: undoLackAdd, incl: b.incl})
 			}
-			continue
-		}
-		t := tupleKey(vals)
-		s.touch(b.entry)
-		switch b.role {
-		case roleKey:
-			pos := b.key.Remove(t)
-			s.pushUndo(undoEntry{kind: undoKeyRemove, key: b.key, t: t, pos: pos})
-		case roleChild:
-			pos := b.incl.RemoveChild(t)
-			s.pushUndo(undoEntry{kind: undoChildRemove, incl: b.incl, t: t, pos: pos})
-		case roleParent:
-			b.incl.RemoveParent(t)
-			s.pushUndo(undoEntry{kind: undoParentRemove, incl: b.incl, t: t})
 		}
 	}
+	elems := 1
 	for _, c := range n.Children {
-		s.removeSubtree(c)
+		elems += s.bindSubtree(c, remove)
 	}
+	return elems
+}
+
+// bindTuple adds one tuple to the binding's side of its index, or
+// withdraws it when remove is set, recording the undo entry.
+//
+//xic:hotpath
+func (s *Session) bindTuple(b *binding, t string, remove bool) {
+	s.touch(b.entry)
+	e := undoEntry{key: b.key, incl: b.incl, t: t}
+	switch {
+	case b.role == roleKey && remove:
+		e.kind, e.pos = undoKeyRemove, b.key.Remove(t)
+	case b.role == roleKey:
+		e.kind = undoKeyAdd
+		b.key.Add(t, doccheck.SrcPos{})
+	case b.role == roleChild && remove:
+		e.kind, e.pos = undoChildRemove, b.incl.RemoveChild(t)
+	case b.role == roleChild:
+		e.kind = undoChildAdd
+		b.incl.AddChild(t, doccheck.SrcPos{})
+	case remove:
+		e.kind = undoParentRemove
+		b.incl.RemoveParent(t)
+	default:
+		e.kind = undoParentAdd
+		b.incl.AddParent(t)
+	}
+	s.pushUndo(e)
 }
 
 // conformReject checks the inserted subtree's local conformance (declared
 // types, exact attribute sets, content models) and returns a rejection
-// for the first failure.
+// for the first failure. It checkpoints each element whose content model
+// accepts; the caller drops them if the insert is rejected.
 func (s *Session) conformReject(op *EditOp, n *xmltree.Node) *RejectedEdit {
 	if n.IsText() {
 		return nil
 	}
-	decl := s.d.Element(n.Label)
+	decl := s.v.DTD().Element(n.Label)
 	if decl == nil {
 		return s.structuralReject(op, "inserted element type %q is not declared", n.Label)
 	}
@@ -441,6 +417,7 @@ func (s *Session) conformReject(op *EditOp, n *xmltree.Node) *RejectedEdit {
 	if !r.Accepting() {
 		return s.structuralReject(op, "children of inserted %s do not match content model %s: sequence is incomplete", n.Label, decl.Content)
 	}
+	s.state[n] = r.Save()
 	for _, c := range n.Children {
 		if rej := s.conformReject(op, c); rej != nil {
 			return rej
@@ -461,15 +438,13 @@ func (s *Session) replayChildren(p *xmltree.Node, skipSlot, insertAt int, insLab
 	// retained checkpoint instead of replaying every child. Inserted
 	// subtree roots are elements, so text coalescing cannot apply.
 	if skipSlot < 0 && insertAt == len(p.Children) && insLabel != dtd.TextSymbol {
-		if st, ok := s.state[p]; ok {
-			r := s.runFor(p.Label)
-			r.Restore(st)
-			if !r.Step(insLabel) || !r.Accepting() {
-				return false
-			}
-			r.SaveInto(&s.endState)
-			return true
+		r := s.runFor(p.Label)
+		r.Restore(s.state[p])
+		if !r.Step(insLabel) || !r.Accepting() {
+			return false
 		}
+		r.SaveInto(&s.endState)
+		return true
 	}
 	r := s.runFor(p.Label)
 	r.Reset()
@@ -511,14 +486,9 @@ func (s *Session) replayChildren(p *xmltree.Node, skipSlot, insertAt int, insLab
 
 // commitState installs the staged end state as p's retained checkpoint.
 func (s *Session) commitState(p *xmltree.Node) {
-	st := s.state[p]
-	if st == nil {
-		st = &dtd.State{}
-		s.state[p] = st
-	}
 	r := s.runFor(p.Label)
 	r.Restore(&s.endState)
-	r.SaveInto(st)
+	r.SaveInto(s.state[p])
 }
 
 // ---- undo log ----------------------------------------------------------

@@ -60,7 +60,7 @@ func (s *Session) contentReject(op *EditOp, p *xmltree.Node) *RejectedEdit {
 	if p == nil {
 		return s.structuralReject(op, "edit would not match the content model")
 	}
-	decl := s.d.Element(p.Label)
+	decl := s.v.DTD().Element(p.Label)
 	if decl == nil {
 		return s.structuralReject(op, "children of %s would not match the content model", p.Label)
 	}

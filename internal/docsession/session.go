@@ -1,8 +1,9 @@
 // Package docsession implements incremental revalidation of retained
-// documents: a Session ingests a document once through the doccheck
-// pipeline, keeps the parsed tree, the per-constraint hash indexes
-// (doccheck's KeyIndex/InclusionIndex, refcounted so removal works), and
-// a per-element Glushkov automaton checkpoint (dtd.State), and then
+// documents: a Session ingests a document in one scanner pass
+// (doccheck's RunRetain), which validates it and builds what the session
+// keeps — the tree, the per-constraint hash indexes (doccheck's
+// KeyIndex/InclusionIndex, refcounted so removal works), and a
+// per-element Glushkov automaton checkpoint (dtd.State) — and then
 // re-checks edits — InsertSubtree, DeleteSubtree, SetAttr, SetText —
 // against only the touched scopes: the edited element's bindings in the
 // constraint indexes and its parent's content model. An accepted edit
@@ -12,11 +13,12 @@
 // (returning *InvalidDocumentError with the report), and every edit is
 // transactional — an edit that would introduce a violation is rejected
 // with a delta report and a minimal repair hint, leaving the document,
-// the indexes, and the checkpoints exactly as they were.
+// the indexes, and the checkpoints exactly as they were. The ingest pass
+// stops building at the first violation, because an invalid document is
+// refused.
 package docsession
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -75,7 +77,6 @@ type plan struct {
 // one mutex serializes edits.
 type Session struct {
 	mu    sync.Mutex
-	d     *dtd.DTD
 	v     *xmltree.Validator
 	plan  *plan
 	tree  *xmltree.Tree
@@ -96,42 +97,32 @@ type Session struct {
 	runPool   map[string]*dtd.Run
 }
 
-// Open ingests one document from r through the streaming checker and
-// returns a live session over it. ck and v must come from the same
-// compiled specification. Invalid documents yield an
-// *InvalidDocumentError carrying the full report; malformed ones the
-// checker's parse error.
+// Open ingests one document from r in one pass of the streaming checker
+// and returns a live session over it. ck and v must come from the same
+// compiled specification. Invalid documents yield an *InvalidDocumentError
+// carrying the full report, malformed ones the checker's parse error, and
+// cancelling ctx, which bounds the whole ingest, an error wrapping it.
 func Open(ctx context.Context, ck *doccheck.Checker, v *xmltree.Validator, r io.Reader) (*Session, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("docsession: read document: %w", err)
-	}
-	rep, idxs, err := ck.RunRetain(ctx, bytes.NewReader(buf))
+	rep, kept, err := ck.RunRetain(ctx, r)
 	if err != nil {
 		return nil, err
 	}
 	if !rep.OK() {
 		return nil, &InvalidDocumentError{Report: rep}
 	}
-	tree, err := xmltree.Parse(bytes.NewReader(buf))
-	if err != nil {
-		return nil, err // unreachable: RunRetain accepted the bytes
-	}
 	s := &Session{
-		d:       v.DTD(),
 		v:       v,
-		tree:    tree,
-		idx:     idxs,
-		state:   make(map[*xmltree.Node]*dtd.State),
+		tree:    kept.Tree,
+		idx:     kept.Indexes,
+		state:   kept.Checkpoints,
 		elems:   rep.Elements,
 		runPool: make(map[string]*dtd.Run),
 	}
-	s.plan = buildPlan(idxs)
+	s.plan = buildPlan(kept.Indexes)
 	s.vals = make([]string, s.plan.maxAttrs)
-	s.touched = make([]int32, len(idxs.Entries))
-	s.entryMark = make([]uint64, len(idxs.Entries))
+	s.touched = make([]int32, len(kept.Indexes.Entries))
+	s.entryMark = make([]uint64, len(kept.Indexes.Entries))
 	s.undo = make([]undoEntry, 16)
-	s.checkpointSubtree(tree.Root)
 	return s, nil
 }
 
@@ -167,29 +158,6 @@ func buildPlan(idxs *doccheck.Indexes) *plan {
 	return p
 }
 
-// checkpointSubtree walks the subtree computing each element's
-// content-model end state (the automaton state after consuming all its
-// children), the checkpoint that makes append-at-end edits O(1).
-func (s *Session) checkpointSubtree(n *xmltree.Node) {
-	if n.IsText() {
-		return
-	}
-	r := s.runFor(n.Label)
-	r.Reset()
-	for _, c := range n.Children {
-		r.Step(c.Label)
-	}
-	st := s.state[n]
-	if st == nil {
-		st = &dtd.State{}
-		s.state[n] = st
-	}
-	r.SaveInto(st)
-	for _, c := range n.Children {
-		s.checkpointSubtree(c)
-	}
-}
-
 // dropCheckpoints removes the per-element states of a detached subtree.
 func (s *Session) dropCheckpoints(n *xmltree.Node) {
 	if n.IsText() {
@@ -217,14 +185,6 @@ func (s *Session) Elements() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.elems
-}
-
-// Report returns the current document report. By the session invariant
-// it is always OK; it carries the live element count.
-func (s *Session) Report() doccheck.Report {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return doccheck.Report{Elements: s.elems}
 }
 
 // Document serializes the current document as indented XML.
@@ -330,15 +290,7 @@ func findChild(n *xmltree.Node, label string, idx int) (*xmltree.Node, int) {
 //
 //xic:hotpath
 func (s *Session) tupleOf(n *xmltree.Node, attrs []string) ([]string, bool) {
-	vals := s.vals[:len(attrs)]
-	for i, a := range attrs {
-		v, ok := n.Attrs[a]
-		if !ok {
-			return nil, false
-		}
-		vals[i] = v
-	}
-	return vals, true
+	return s.tupleOfWith(n, attrs, "", "") // attribute names are never empty
 }
 
 // tupleOfWith is tupleOf with one attribute's value substituted — the
@@ -382,16 +334,4 @@ func hasAttr(attrs []string, a string) bool {
 		}
 	}
 	return false
-}
-
-// countElements returns the number of element nodes in the subtree.
-func countElements(n *xmltree.Node) int {
-	if n.IsText() {
-		return 0
-	}
-	c := 1
-	for _, ch := range n.Children {
-		c += countElements(ch)
-	}
-	return c
 }

@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -84,65 +83,16 @@ func (v *Validator) DTD() *dtd.DTD { return v.dtd }
 // Validate reports whether the tree conforms to the DTD, returning a
 // descriptive error naming the offending node otherwise.
 func (v *Validator) Validate(t *Tree) error {
-	return v.ValidateContext(nil, t) // ValidateContext tolerates a nil ctx
-}
-
-// cancelCheckStride is how many nodes a validation walk visits between
-// context checks: large enough that the atomic-free counter work is noise,
-// small enough that cancellation lands within microseconds on any tree.
-const cancelCheckStride = 4096
-
-// ValidateContext is Validate under a context: the conformance walk checks
-// ctx every few thousand nodes, so cancelling it aborts validation of even
-// a multi-million-node tree promptly with an error wrapping ctx.Err().
-func (v *Validator) ValidateContext(ctx context.Context, t *Tree) error {
 	if t == nil || t.Root == nil {
 		return fmt.Errorf("xmltree: empty tree")
 	}
 	if t.Root.Label != v.dtd.Root {
 		return fmt.Errorf("xmltree: root is %q, DTD requires %q", t.Root.Label, v.dtd.Root)
 	}
-	w := walk{t: t}
-	if ctx != nil {
-		w.done = ctx.Done()
-		w.ctxErr = ctx.Err
-	}
-	return v.validateNode(&w, t.Root)
+	return v.validateNode(t, t.Root)
 }
 
-// walk carries the per-validation traversal state: the tree (for paths) and
-// the cancellation countdown. done == nil means an uncancellable context,
-// for which the walk skips the checks entirely.
-type walk struct {
-	t      *Tree
-	done   <-chan struct{}
-	ctxErr func() error
-	budget int
-}
-
-// cancelled reports ctx cancellation every cancelCheckStride visits.
-func (w *walk) cancelled() error {
-	if w.done == nil {
-		return nil
-	}
-	w.budget--
-	if w.budget > 0 {
-		return nil
-	}
-	w.budget = cancelCheckStride
-	select {
-	case <-w.done:
-		return fmt.Errorf("xmltree: validation aborted: %w", w.ctxErr())
-	default:
-		return nil
-	}
-}
-
-func (v *Validator) validateNode(w *walk, n *Node) error {
-	t := w.t
-	if err := w.cancelled(); err != nil {
-		return err
-	}
+func (v *Validator) validateNode(t *Tree, n *Node) error {
 	if n.IsText() {
 		if len(n.Children) > 0 || len(n.Attrs) > 0 {
 			return fmt.Errorf("xmltree: text node with children or attributes at %s", t.Path(n))
@@ -178,7 +128,7 @@ func (v *Validator) validateNode(w *walk, n *Node) error {
 			t.Path(n), decl.Content, labels)
 	}
 	for _, c := range n.Children {
-		if err := v.validateNode(w, c); err != nil {
+		if err := v.validateNode(t, c); err != nil {
 			return err
 		}
 	}

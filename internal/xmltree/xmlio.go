@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"unicode/utf8"
+
+	"xic/internal/dtd"
 )
 
 // ParseError is a document syntax or structure error with its source
@@ -34,7 +36,7 @@ func (e *ParseError) Unwrap() error { return e.Err }
 // carrying the line and byte offset of the offending construct.
 func Parse(r io.Reader) (*Tree, error) {
 	s := NewScanner(r)
-	b := treeBuilder{intern: make(map[string]string)}
+	var b Builder
 	for {
 		kind, err := s.Next()
 		if err != nil {
@@ -42,46 +44,103 @@ func Parse(r io.Reader) (*Tree, error) {
 		}
 		switch kind {
 		case KindEOF:
-			return NewTree(b.root), nil
+			return b.Tree(), nil
 		case KindStart:
-			b.flushText()
-			n := NewElement(b.name(s.Name()))
-			if attrs := s.Attrs(); len(attrs) > 0 {
-				n.Attrs = make(map[string]string, len(attrs))
-				for _, a := range attrs {
-					n.Attrs[b.name(a.Name)] = string(a.Value)
-				}
-			}
-			if len(b.stack) == 0 {
-				b.root = n
-			} else {
-				parent := b.stack[len(b.stack)-1]
-				parent.Children = append(parent.Children, n)
-			}
-			b.stack = append(b.stack, n)
+			b.Start(s.Name(), s.Attrs())
 		case KindEnd:
-			b.flushText()
-			b.stack = b.stack[:len(b.stack)-1]
+			b.End()
 		case KindText:
-			b.text = append(b.text, s.Text()...)
+			b.Text(s.Text())
 		}
 	}
 }
 
-// treeBuilder is Parse's state: the open elements, the pending text of
-// the current text node, and the interned element and attribute names,
-// which repeat throughout a document.
-type treeBuilder struct {
-	root   *Node
-	stack  []*Node
+// Builder assembles a tree from a Scanner's token stream. Parse drives
+// it, and so does the streaming checker when it retains a document
+// (internal/doccheck), so both build the same tree: names interned, one
+// attribute map per element, and the character-data runs between two
+// tags — split by comments, CDATA sections or processing instructions —
+// coalesced into one text node. The zero Builder is ready to use.
+type Builder struct {
+	kids   []*Node // the root, then the open elements' children so far
+	marks  []int   // where each open element's children start in kids
 	text   []byte
 	intern map[string]string
+
+	// Nodes and child lists are carved from blocks that double with the
+	// tree, so a large document costs a few allocations per 256 nodes; a
+	// block stays allocated while any node carved from it is reachable.
+	nodes []Node
+	lists []*Node
+	built int // nodes built so far
 }
 
+// carve takes k elements off the front of *block, first replacing it by a
+// fresh block of max(k, size) elements if it is too short. The result has
+// no spare capacity, so appending to it reallocates.
+func carve[T any](block *[]T, k, size int) []T {
+	if k > len(*block) {
+		*block = make([]T, max(k, size))
+	}
+	s := (*block)[:k:k]
+	*block = (*block)[k:]
+	return s
+}
+
+// node returns a zeroed node.
+func (b *Builder) node() *Node {
+	b.built++
+	return &carve(&b.nodes, 1, min(b.built, 256))[0]
+}
+
+// Start opens an element with the scanned name and attributes, copying
+// every value, and returns its node.
+func (b *Builder) Start(name []byte, attrs []Attr) *Node {
+	b.flushText()
+	n := b.node()
+	n.Label = b.name(name)
+	if len(attrs) > 0 {
+		n.Attrs = make(map[string]string, len(attrs))
+		for _, a := range attrs {
+			n.Attrs[b.name(a.Name)] = string(a.Value)
+		}
+	}
+	b.kids = append(b.kids, n)
+	b.marks = append(b.marks, len(b.kids))
+	return n
+}
+
+// Text appends a character-data run to the innermost element's pending
+// text node.
+func (b *Builder) Text(t []byte) {
+	b.text = append(b.text, t...)
+}
+
+// End closes the innermost element and returns its node.
+func (b *Builder) End() *Node {
+	b.flushText()
+	top := len(b.marks) - 1
+	mark := b.marks[top]
+	n := b.kids[mark-1]
+	if mark < len(b.kids) {
+		n.Children = carve(&b.lists, len(b.kids)-mark, min(b.built, 1024))
+		copy(n.Children, b.kids[mark:])
+		b.kids = b.kids[:mark]
+	}
+	b.marks = b.marks[:top]
+	return n
+}
+
+// Tree returns the tree once its root element has ended.
+func (b *Builder) Tree() *Tree { return NewTree(b.kids[0]) }
+
 // name returns the interned copy of a scanned name.
-func (b *treeBuilder) name(n []byte) string {
+func (b *Builder) name(n []byte) string {
 	if v, ok := b.intern[string(n)]; ok {
 		return v
+	}
+	if b.intern == nil {
+		b.intern = make(map[string]string)
 	}
 	v := string(n)
 	b.intern[v] = v
@@ -89,12 +148,13 @@ func (b *treeBuilder) name(n []byte) string {
 }
 
 // flushText ends the pending text node, if any.
-func (b *treeBuilder) flushText() {
+func (b *Builder) flushText() {
 	if len(b.text) == 0 {
 		return
 	}
-	parent := b.stack[len(b.stack)-1]
-	parent.Children = append(parent.Children, NewText(string(b.text)))
+	n := b.node()
+	n.Label, n.Value = dtd.TextSymbol, string(b.text)
+	b.kids = append(b.kids, n)
 	b.text = b.text[:0]
 }
 

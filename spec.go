@@ -357,18 +357,18 @@ func wrapRunError(err error) error {
 	return wrapDocumentError(err)
 }
 
-// OpenSession ingests one document from r — a single streaming validation
-// pass — and returns a live editing session over it: the parsed tree, the
-// per-constraint hash indexes and a per-element content-model checkpoint
-// are retained, so subsequent Session.Apply calls re-check each edit
-// against only the touched scopes, in O(edit) rather than O(document).
-// Every edit is transactional — accepted in full or rejected with a delta
-// report and a minimal repair hint — so the session's document is valid
-// at all times.
+// OpenSession ingests one document from r in a single streaming
+// validation pass and returns a live editing session over it. The pass
+// builds what the session retains — the parsed tree, the per-constraint
+// hash indexes and a per-element content-model checkpoint — and stops
+// building at the first violation. Session.Apply then re-checks each edit
+// against only the touched scopes, in O(edit) rather than O(document);
+// every edit is accepted in full or rejected with a delta report and a
+// minimal repair hint, so the session's document is always valid.
 //
 // Invalid documents yield an *InvalidDocumentError carrying the full
-// report; unparseable ones a *ParseError. The context bounds the
-// ingestion pass only; the returned Session is independent of it.
+// report; unparseable ones a *ParseError. The context bounds the whole
+// ingestion pass; the returned Session is independent of it.
 func (s *Spec) OpenSession(ctx context.Context, r io.Reader) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
